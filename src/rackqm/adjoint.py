@@ -91,12 +91,6 @@ class TrivialRackModel:
     def multiply(self, u: AbelianWord, v: AbelianWord) -> AbelianWord:
         return u * v
 
-    def invert(self, u: AbelianWord) -> AbelianWord:
-        return u.inverse()
-
-    def is_identity(self, u: AbelianWord) -> bool:
-        return u.is_identity
-
     def contains_value(self, u: AbelianWord) -> bool:
         names = set(self.generator_names)
         return all(n in names for n in u.generators())
@@ -106,9 +100,6 @@ class TrivialRackModel:
 
     def act(self, key: int, value: AbelianWord) -> int:
         return key
-
-    def element_keys(self) -> range:
-        return range(self.rank)
 
     def validate_key(self, key: int) -> int:
         if not 0 <= key < self.rank:
@@ -166,12 +157,6 @@ class FreeRackFactorModel:
     def multiply(self, u: AbelianWord, v: AbelianWord) -> AbelianWord:
         return u * v
 
-    def invert(self, u: AbelianWord) -> AbelianWord:
-        return u.inverse()
-
-    def is_identity(self, u: AbelianWord) -> bool:
-        return u.is_identity
-
     def contains_value(self, u: AbelianWord) -> bool:
         return all(n == self.generator for n in u.generators())
 
@@ -180,9 +165,6 @@ class FreeRackFactorModel:
 
     def act(self, key: int, value: AbelianWord) -> int:
         return key + value.total_degree()
-
-    def element_keys(self) -> None:
-        return None  # infinite carrier
 
     def validate_key(self, key: int) -> int:
         return key

@@ -6,12 +6,14 @@ quasimorphisms on k witness elements ``w_j(n) = (x, (e_{x0}^j e_x)^n)``.
 Scaled by 1/n the evaluation matrix is exactly the k x k identity, so any
 nontrivial linear combination of the k families stays unbounded (slope
 ``|c_j|`` on witness j), which pins down k independent coboundary classes.
-The whole object is emitted as JSON so third parties can re-evaluate it.
+The whole object is emitted as JSON, each family in the schema that
+:func:`~rackqm.quasimorphism.family_from_dict` loads, so third parties can
+re-evaluate it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,13 +22,13 @@ from .linalg import exact_rank
 from .quasimorphism import (
     LambdaFamily,
     Sigma,
+    family_to_dict,
     find_unboundedness_witness,
     format_fraction,
     iota_family,
     rack_qm,
     witness_growth_table,
 )
-from .racks import trivial_rack, components as rack_components
 
 __all__ = [
     "IndependenceCertificate",
@@ -40,9 +42,10 @@ __all__ = [
 class IndependenceCertificate:
     rank: int
     exponent: int
-    factor: str  # distinguished factor s0
-    element: int  # distinguished base element x0 of s0
+    # families compare by identity; equal periods and matrix make equal certificates
+    families: tuple[LambdaFamily, ...] = field(compare=False)
     witness_base: tuple[str, int]
+    periods: tuple[SyllableWord, ...]  # w_j(n) = (witness_base, periods[j-1]^n)
     matrix: tuple[tuple[Fraction, ...], ...]  # matrix[i][j] = phi_i(w_j(n)) / n
     verdict: int
 
@@ -50,25 +53,15 @@ class IndependenceCertificate:
         return {
             "rank": self.rank,
             "n": self.exponent,
-            "family": [
-                {
-                    "index": i,
-                    "kind": "iota-indicator",
-                    "factor": self.factor,
-                    "element": self.element,
-                    "k": i,
-                }
-                for i in range(1, self.rank + 1)
-            ],
+            "family": [family_to_dict(fam) for fam in self.families],
             "witnesses": [
                 {
                     "j": j,
                     "base": f"{self.witness_base[0]}.{self.witness_base[1]}",
-                    "period": f"{self.factor}.{self.element}^{j} "
-                    f"{self.witness_base[0]}.{self.witness_base[1]}",
+                    "period": period.render(),
                     "power": self.exponent,
                 }
-                for j in range(1, self.rank + 1)
+                for j, period in enumerate(self.periods, 1)
             ],
             "matrix": [
                 [format_fraction(v) for v in row] for row in self.matrix
@@ -93,21 +86,23 @@ def independence_certificate(
     e_x0 = parent.model(s0).embed(x0)
     e_x = parent.model(t).embed(x)
 
-    families = [
+    families = tuple(
         iota_family(parent, s0, x0, Sigma.indicator(k)) for k in range(1, rank + 1)
+    )
+    periods = tuple(
+        SyllableWord(((s0, e_x0**j), (t, e_x))) for j in range(1, rank + 1)
+    )
+    witnesses = [
+        FreeProductElement(parent, t, x, SyllableWord(period.syllables * exponent))
+        for period in periods
     ]
-    witnesses = []
-    for j in range(1, rank + 1):
-        period = ((s0, e_x0**j), (t, e_x))
-        tail = SyllableWord(period * exponent)
-        witnesses.append(FreeProductElement(parent, t, x, tail))
 
     matrix = tuple(
         tuple(rack_qm(fam, w) / exponent for w in witnesses) for fam in families
     )
     verdict = exact_rank(matrix)
     return IndependenceCertificate(
-        rank, exponent, s0, x0, (t, x), matrix, verdict
+        rank, exponent, families, (t, x), periods, matrix, verdict
     )
 
 
@@ -132,19 +127,6 @@ class GrowthReport:
         }
 
 
-def _factor_component_count(parent: FreeProductRack) -> int:
-    # one-generator free rack factors are connected; a trivial rack of size m
-    # contributes m orbits
-    total = 0
-    for factor in parent.factors:
-        keys = factor.element_keys()
-        if keys is None:
-            total += 1
-        else:
-            total += rack_components(trivial_rack(len(keys))).count
-    return total
-
-
 def boundedness_refutation(
     family: LambdaFamily,
     parent: FreeProductRack | None = None,
@@ -158,7 +140,9 @@ def boundedness_refutation(
     period = witness.period()
     period_text = " ".join(v.render() for _, v in period)
     return GrowthReport(
-        component_count=_factor_component_count(parent),
+        # a trivial rack of size m has m orbits; a one-generator free rack has
+        # one; either way the factor's rank
+        component_count=sum(f.rank for f in parent.factors),
         component_count_label="factor-orbit sum",
         witness_text=period_text,
         slope=witness.slope,

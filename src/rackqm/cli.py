@@ -249,11 +249,10 @@ def cmd_qm_defect(args) -> int:
 def cmd_qm_witness(args) -> int:
     parent, family = _load_family(args, args.family)
     try:
-        witness = qm.find_unboundedness_witness(family)
+        report = boundedness_refutation(family, parent)
     except qm.QmError as exc:
         print(f"cannot certify: {exc}")
         return INVARIANT_VIOLATED
-    report = boundedness_refutation(family, parent)
     if args.json:
         print(json.dumps(report.to_dict()))
     else:

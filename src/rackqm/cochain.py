@@ -37,7 +37,6 @@ __all__ = [
     "CoboundaryMatrix",
     "CochainCapError",
     "tuple_index",
-    "index_tuple",
     "coboundary",
     "apply_coboundary",
     "cohomology_dims",
@@ -61,14 +60,6 @@ def tuple_index(xs: Sequence[int], size: int) -> int:
     for x in xs:
         idx = idx * size + x
     return idx
-
-
-def index_tuple(idx: int, degree: int, size: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(degree):
-        idx, r = divmod(idx, size)
-        out.append(r)
-    return tuple(reversed(out))
 
 
 @dataclass(frozen=True)

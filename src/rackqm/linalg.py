@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: rank, nullity, sparse integer products.
+"""Exact rational linear algebra: rank and sparse integer products.
 
 No floating point anywhere; entries are Python ints or Fractions.
 """
@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["exact_rank", "nullity", "sparse_rows", "sparse_matmul", "is_zero_matrix"]
+__all__ = ["exact_rank", "sparse_rows", "sparse_matmul", "is_zero_matrix"]
 
 
 def exact_rank(matrix: Sequence[Sequence[int | Fraction]]) -> int:
@@ -39,10 +39,6 @@ def exact_rank(matrix: Sequence[Sequence[int | Fraction]]) -> int:
         if rank == len(rows):
             break
     return rank
-
-
-def nullity(matrix: Sequence[Sequence[int | Fraction]], cols: int) -> int:
-    return cols - exact_rank(matrix)
 
 
 def sparse_rows(matrix: Sequence[Sequence[int]]) -> list[dict[int, int]]:

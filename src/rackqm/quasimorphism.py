@@ -278,9 +278,6 @@ class LambdaFamily:
             for word in comp.probes(model):
                 yield comp.factor, word
 
-    def is_zero_on_probes(self) -> bool:
-        return all(self.value(f, w) == 0 for f, w in self.probes())
-
 
 def sign_family(parent: FreeProductRack) -> LambdaFamily:
     return LambdaFamily(parent, (SignComponent(n) for n in parent.factor_names))
@@ -351,7 +348,7 @@ def group_defect_estimate(
             witness = (g.render(), h.render())
 
     if exhaustive_syllables is not None:
-        exponent = exhaustive_exponent or config.max_exponent
+        exponent = config.max_exponent if exhaustive_exponent is None else exhaustive_exponent
         by_length: dict[int, list[tuple[SyllableWord, Fraction]]] = {}
         for word in enumerate_syllable_words(parent, exhaustive_syllables, exponent):
             by_length.setdefault(len(word), []).append(

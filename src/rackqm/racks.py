@@ -76,9 +76,6 @@ class FiniteRack:
     def label(self, i: int) -> str:
         return self.elements[i]
 
-    def index(self, label: str) -> int:
-        return self.elements.index(label)
-
 
 def validate_rack(
     table: Sequence[Sequence[int]],
@@ -177,13 +174,6 @@ class GroupTable:
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def order_of(self, i: int) -> int:
-        k, x = 1, i
-        while x != self.identity:
-            x = self.mul(x, i)
-            k += 1
-        return k
 
 
 def validate_group(

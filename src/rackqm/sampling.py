@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 from .free_product import FreeProductElement, FreeProductRack, SyllableWord
@@ -21,17 +20,26 @@ __all__ = [
     "make_rng",
     "sample_syllable_word",
     "sample_element",
-    "iter_sample_elements",
     "enumerate_syllable_words",
 ]
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """Sampler settings; the CLI sets each field from the flag of the same name."""
+
     seed: int = 0
     samples: int = 10_000
     max_syllables: int = 12
     max_exponent: int = 5
+
+    def __post_init__(self) -> None:
+        if self.samples < 0:
+            raise ValueError(f"--samples must be at least 0, got {self.samples}")
+        if self.max_syllables < 0:
+            raise ValueError(f"--max-syllables must be at least 0, got {self.max_syllables}")
+        if self.max_exponent < 1:
+            raise ValueError(f"--max-exponent must be at least 1, got {self.max_exponent}")
 
 
 def make_rng(config: SamplerConfig) -> random.Random:
@@ -75,14 +83,6 @@ def sample_element(
     return FreeProductElement(parent, factor, key, tail)
 
 
-def iter_sample_elements(
-    parent: FreeProductRack, config: SamplerConfig
-) -> Iterator[FreeProductElement]:
-    rng = make_rng(config)
-    for _ in range(config.samples):
-        yield sample_element(parent, rng, config.max_syllables, config.max_exponent)
-
-
 def enumerate_syllable_words(
     parent: FreeProductRack, max_syllables: int, max_exponent: int
 ) -> Iterator[SyllableWord]:
@@ -107,15 +107,3 @@ def enumerate_syllable_words(
                 yield from extend(prefix + ((name, value),), name)
 
     yield from extend((), None)
-
-
-def count_enumerated_words(
-    parent: FreeProductRack, max_syllables: int, max_exponent: int, limit: int
-) -> int:
-    """Number of words the exhaustive enumeration would yield, capped at limit."""
-    return sum(
-        1
-        for _ in islice(
-            enumerate_syllable_words(parent, max_syllables, max_exponent), limit
-        )
-    )

@@ -98,9 +98,6 @@ class GroupWord:
         """Letter length: the sum of absolute exponents."""
         return sum(abs(e) for _, e in self.syllables)
 
-    def syllable_count(self) -> int:
-        return len(self.syllables)
-
     def exponent_sum(self, name: str | None = None) -> int:
         """Total exponent of ``name``, or of all generators when ``name`` is None."""
         if name is None:

@@ -5,15 +5,19 @@ import pytest
 
 from rackqm.certify import boundedness_refutation, independence_certificate
 from rackqm.cochain import check_cocycle_diag
-from rackqm.free_product import free_quandle, free_rack, trivial_product
+from rackqm.free_product import free_quandle, free_rack, parse_element, trivial_product
 from rackqm.quasimorphism import (
     QmError,
     Sigma,
+    family_from_dict,
+    format_fraction,
     iota_family,
+    rack_qm,
     sign_family,
     zero_family,
 )
 from rackqm.sampling import SamplerConfig
+from rackqm.words import parse_word
 
 FR = free_rack(["a", "b"])
 FQ = free_quandle(["a", "b"])
@@ -76,6 +80,21 @@ def test_certificate_json_schema():
     assert parsed["matrix"] == [["1", "0"], ["0", "1"]]
     assert len(parsed["family"]) == 2 and len(parsed["witnesses"]) == 2
     assert parsed["witnesses"][0]["period"].startswith("a.0")
+
+
+@pytest.mark.parametrize("parent", [FR, FQ, T23], ids=["FR", "FQ", "T2*T3"])
+def test_certificate_round_trips(parent):
+    data = json.loads(json.dumps(independence_certificate(parent, 3, 10).to_dict()))
+    n = data["n"]
+    witnesses = [
+        parse_element(parent, f"{w['base']} | " + " ".join([w["period"]] * w["power"]))
+        for w in data["witnesses"]
+    ]
+    for entry, row in zip(data["family"], data["matrix"]):
+        family = family_from_dict(parent, entry)
+        assert [format_fraction(rack_qm(family, w) / n) for w in witnesses] == row
+    for w in data["witnesses"]:
+        assert parse_word(w["period"]).render() == w["period"]
 
 
 def test_growth_report_sign_family():

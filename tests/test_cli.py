@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rackqm
 from rackqm.cli import main
 from rackqm.racks import dihedral_quandle, rack_to_dict, trivial_rack
 
@@ -169,6 +173,25 @@ def test_qm_defect_group_exhaustive(sign_family_file, capsys):
     from fractions import Fraction
 
     assert Fraction(data["observed"]) <= 3
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-exponent", "0"), ("--samples", "-5"), ("--max-syllables", "-1")],
+)
+def test_qm_defect_rejects_bad_sampler_input(sign_family_file, flag, value):
+    # a separate process, so that a sampler that never returns fails the
+    # test through the timeout instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(rackqm.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "rackqm.cli", "qm", "defect", sign_family_file,
+         "--sizes", "a=2,b=3", flag, value],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 2
+    assert flag in result.stderr
+    assert result.stdout == ""
 
 
 def test_qm_witness(sign_family_file, capsys):

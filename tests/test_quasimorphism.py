@@ -130,6 +130,16 @@ def test_group_defect_zero_family():
     assert est.max_defect == 0
 
 
+def test_group_defect_exhaustive_exponent_zero():
+    # exponent 0 leaves only the empty word, so only (e, e) is checked;
+    # it must not fall back to the sampler's max_exponent
+    est = group_defect_estimate(
+        sign_family(FR), SamplerConfig(samples=0, max_exponent=2),
+        exhaustive_syllables=2, exhaustive_exponent=0,
+    )
+    assert est.checked == 1
+
+
 def test_group_defect_sign_small_budget():
     est = group_defect_estimate(
         sign_family(FR),
