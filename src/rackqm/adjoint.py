@@ -111,6 +111,7 @@ class TrivialRackModel:
 
     def sample_value(self, rng: random.Random, max_exponent: int) -> AbelianWord:
         """A uniformly random nonzero value with exponents in [-max, max]."""
+        _check_max_exponent(max_exponent)
         while True:
             exps = tuple(
                 (name, rng.randint(-max_exponent, max_exponent))
@@ -173,6 +174,7 @@ class FreeRackFactorModel:
         return rng.randint(-bound, bound)
 
     def sample_value(self, rng: random.Random, max_exponent: int) -> AbelianWord:
+        _check_max_exponent(max_exponent)
         exp = rng.randint(1, max_exponent) * rng.choice((1, -1))
         return AbelianWord(((self.generator, exp),))
 
@@ -180,6 +182,12 @@ class FreeRackFactorModel:
         for exp in range(-max_exponent, max_exponent + 1):
             if exp:
                 yield AbelianWord(((self.generator, exp),))
+
+
+def _check_max_exponent(max_exponent: int) -> None:
+    # every nonzero value needs an exponent of size at least 1
+    if max_exponent < 1:
+        raise ValueError(f"max_exponent must be at least 1, got {max_exponent}")
 
 
 def trivial_rack_model(

@@ -100,7 +100,7 @@ def independence_certificate(
     matrix = tuple(
         tuple(rack_qm(fam, w) / exponent for w in witnesses) for fam in families
     )
-    verdict = exact_rank(matrix)
+    verdict = exact_rank([dict(enumerate(row)) for row in matrix])
     return IndependenceCertificate(
         rank, exponent, families, (t, x), periods, matrix, verdict
     )

@@ -141,16 +141,15 @@ def cmd_rack_cohomology(args) -> int:
         raise CliInputError("--quandle requested but the input is not a quandle")
     dims = cochain_mod.cohomology_dims(rack, args.degree, quandle_mode=args.quandle)
     if args.dump_matrix:
-        matrix = (
-            cochain_mod.quandle_coboundary(rack, args.degree)[2]
-            if args.quandle
-            else cochain_mod.coboundary(rack, args.degree).entries
-        )
-        rows = len(matrix)
-        cols = len(matrix[0]) if rows else 0
-        print(f"# delta {args.degree} {rows} {cols}")
+        if args.quandle:
+            _, col_idx, matrix = cochain_mod.quandle_coboundary(rack, args.degree)
+            cols = len(col_idx)
+        else:
+            full = cochain_mod.coboundary(rack, args.degree)
+            matrix, cols = full.entries, full.cols
+        print(f"# delta {args.degree} {len(matrix)} {cols if matrix else 0}")
         for row in matrix:
-            print(" ".join(str(v) for v in row))
+            print(" ".join(str(row.get(j, 0)) for j in range(cols)))
     if args.json:
         print(json.dumps({"dims": dims, "quandle_mode": args.quandle}))
     else:

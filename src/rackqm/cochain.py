@@ -8,10 +8,12 @@ is the alternating sum
                               - f(x_1<|x_i, .., x_{i-1}<|x_i, x_{i+1}, ..) ]
 
 with ``d^n = 0`` for n <= 0; in particular ``(d^1 f)(x, y) = f(x) - f(x<|y)``.
-Cohomology dimensions come from exact rank/nullity.  For quandles the quandle
-complex is computed on the coordinates indexed by nondegenerate tuples (no
-adjacent repeats), i.e. the subcomplex of cochains vanishing on degenerate
-tuples; degrees <= 1 have no degeneracy constraint.
+Each d^n is built once, as sparse integer rows ``{column: coefficient}``
+over the coordinates it is ranked on, and cohomology dimensions come from
+exact ranks of those rows.  For quandles the quandle complex is computed on
+the coordinates indexed by nondegenerate tuples (no adjacent repeats), i.e.
+the subcomplex of cochains vanishing on degenerate tuples; degrees <= 1 have
+no degeneracy constraint.
 
 Every cochain on a finite rack is bounded, so the bounded and ordinary
 complexes coincide here; the sampled checks at the bottom connect the finite
@@ -24,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .free_product import FreeProductElement, FreeProductRack, rack_op
-from .linalg import exact_rank, is_zero_matrix, sparse_matmul, sparse_rows
+from .linalg import exact_rank, sparse_matmul
 from .quasimorphism import LambdaFamily, rack_qm
 from .racks import FiniteRack
 from .sampling import SamplerConfig, make_rng, sample_element
@@ -87,12 +89,13 @@ class Cochain:
 
 @dataclass(frozen=True)
 class CoboundaryMatrix:
-    """Integer matrix of d^degree: shape |X|^(degree+1) x |X|^degree."""
+    """Integer matrix of d^degree, shape |X|^(degree+1) x |X|^degree, as
+    sparse rows ``{column index: nonzero coefficient}``."""
 
     degree: int
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    entries: tuple[dict[int, int], ...]
 
 
 def _check_cap(rack: FiniteRack, degree: int, cap: int) -> None:
@@ -102,35 +105,51 @@ def _check_cap(rack: FiniteRack, degree: int, cap: int) -> None:
         )
 
 
-def coboundary(rack: FiniteRack, degree: int, cap: int = DEFAULT_CAP) -> CoboundaryMatrix:
-    """The matrix of d^degree in the fixed index order (zero for degree <= 0)."""
-    n = rack.size
-    _check_cap(rack, max(degree, 0), cap)
-    if degree <= 0:
-        rows = n ** (degree + 1) if degree == 0 else 0
-        cols = n**degree if degree == 0 else 0
-        return CoboundaryMatrix(
-            degree, rows, cols, tuple(tuple([0] * cols) for _ in range(rows))
-        )
+def _is_nondegenerate(xs: tuple[int, ...]) -> bool:
+    return all(a != b for a, b in zip(xs, xs[1:]))
 
-    rows = n ** (degree + 1)
-    cols = n**degree
-    entries = [[0] * cols for _ in range(rows)]
-    for row, xs in enumerate(product(range(n), repeat=degree + 1)):
+
+def _delta_rows(
+    rack: FiniteRack, degree: int, keep: Callable[[tuple[int, ...]], bool]
+) -> list[dict[int, int]]:
+    """Sparse rows of d^degree (degree >= 0) on the tuples ``keep`` selects.
+
+    Rows and columns are the kept (degree+1)- and degree-tuples in index
+    order; a term at a tuple that is not kept is dropped.
+    """
+    n = rack.size
+    position = {
+        xs: j for j, xs in enumerate(filter(keep, product(range(n), repeat=degree)))
+    }
+    out = []
+    for xs in filter(keep, product(range(n), repeat=degree + 1)):
+        row: dict[int, int] = {}
         for i in range(1, degree + 2):
             sign = -1 if i % 2 else 1
             dropped = xs[: i - 1] + xs[i:]
             acted = tuple(rack.op(x, xs[i - 1]) for x in xs[: i - 1]) + xs[i:]
-            entries[row][tuple_index(dropped, n)] += sign
-            entries[row][tuple_index(acted, n)] -= sign
-    return CoboundaryMatrix(degree, rows, cols, tuple(tuple(r) for r in entries))
+            for ys, term in ((dropped, sign), (acted, -sign)):
+                j = position.get(ys)
+                if j is not None:
+                    row[j] = row.get(j, 0) + term
+        out.append({j: v for j, v in row.items() if v})
+    return out
+
+
+def coboundary(rack: FiniteRack, degree: int, cap: int = DEFAULT_CAP) -> CoboundaryMatrix:
+    """The matrix of d^degree in the fixed index order (zero for degree <= 0)."""
+    _check_cap(rack, max(degree, 0), cap)
+    if degree < 0:
+        return CoboundaryMatrix(degree, 0, 0, ())
+    rows = _delta_rows(rack, degree, lambda xs: True)
+    return CoboundaryMatrix(degree, len(rows), rack.size**degree, tuple(rows))
 
 
 def apply_coboundary(matrix: CoboundaryMatrix, cochain: Cochain) -> Cochain:
     if matrix.cols != len(cochain.values):
         raise ValueError("cochain does not match the matrix shape")
     values = tuple(
-        sum((Fraction(entry) * v for entry, v in zip(row, cochain.values)), Fraction(0))
+        sum((entry * cochain.values[j] for j, entry in row.items()), Fraction(0))
         for row in matrix.entries
     )
     return Cochain(cochain.degree + 1, cochain.size, values)
@@ -138,32 +157,32 @@ def apply_coboundary(matrix: CoboundaryMatrix, cochain: Cochain) -> Cochain:
 
 def nondegenerate_indices(degree: int, size: int) -> list[int]:
     """Indices of tuples with no adjacent repeat ``x_i = x_{i+1}``."""
-    out = []
-    for idx, xs in enumerate(product(range(size), repeat=degree)):
-        if all(xs[i] != xs[i + 1] for i in range(degree - 1)):
-            out.append(idx)
-    return out
+    return [
+        idx
+        for idx, xs in enumerate(product(range(size), repeat=degree))
+        if _is_nondegenerate(xs)
+    ]
 
 
 def quandle_coboundary(
     rack: FiniteRack, degree: int, cap: int = DEFAULT_CAP
-) -> tuple[list[int], list[int], list[list[int]]]:
+) -> tuple[list[int], list[int], list[dict[int, int]]]:
     """The coboundary restricted to quandle cochains.
 
-    Returns (row indices, column indices, matrix): rows/columns are the
-    nondegenerate tuple indices (all tuples for degrees <= 1) and the matrix
-    is d^degree restricted to those coordinates.
+    Returns (row indices, column indices, rows): rows/columns are the
+    nondegenerate tuple indices (all tuples for degrees <= 1) and each sparse
+    row is keyed by position in the column index list.
     """
     if not rack.quandle:
         raise ValueError("quandle mode needs a quandle")
-    full = coboundary(rack, degree, cap)
-    n = rack.size
-    row_idx = (
-        nondegenerate_indices(degree + 1, n) if degree + 1 >= 2 else list(range(full.rows))
+    _check_cap(rack, max(degree, 0), cap)
+    if degree < 0:
+        return [], [], []
+    return (
+        nondegenerate_indices(degree + 1, rack.size),
+        nondegenerate_indices(degree, rack.size),
+        _delta_rows(rack, degree, _is_nondegenerate),
     )
-    col_idx = nondegenerate_indices(degree, n) if degree >= 2 else list(range(full.cols))
-    matrix = [[full.entries[r][c] for c in col_idx] for r in row_idx]
-    return row_idx, col_idx, matrix
 
 
 def cohomology_dims(
@@ -174,31 +193,24 @@ def cohomology_dims(
 ) -> list[int]:
     """``[dim H^0, ..., dim H^max_degree]`` by exact rank computations.
 
-    ``dim H^k = nullity(d^k) - rank(d^(k-1))``; quandle mode computes on the
-    nondegenerate coordinate subspace.
+    ``dim H^k = dim C^k - rank(d^k) - rank(d^(k-1))``, with ``dim C^k`` the
+    column count of d^k; quandle mode computes on the nondegenerate
+    coordinate subspace.
     """
     if max_degree < 0:
         return []
     _check_cap(rack, max_degree + 1, cap)
-
-    def space_dim(k: int) -> int:
-        if quandle_mode and k >= 2:
-            return len(nondegenerate_indices(k, rack.size))
-        return rack.size**k
-
-    def matrix_rank(k: int) -> int:
-        if k <= 0:
-            return 0
-        if quandle_mode:
-            _, _, matrix = quandle_coboundary(rack, k, cap)
-            return exact_rank(matrix)
-        return exact_rank(coboundary(rack, k, cap).entries)
-
     dims = []
     rank_below = 0  # rank of d^(k-1)
     for k in range(max_degree + 1):
-        rank_here = matrix_rank(k)
-        dims.append(space_dim(k) - rank_here - rank_below)
+        if quandle_mode:
+            _, cols, rows = quandle_coboundary(rack, k, cap)
+            space_dim = len(cols)
+        else:
+            matrix = coboundary(rack, k, cap)
+            space_dim, rows = matrix.cols, matrix.entries
+        rank_here = exact_rank(rows)
+        dims.append(space_dim - rank_here - rank_below)
         rank_below = rank_here
     return dims
 
@@ -279,11 +291,6 @@ def bounded_2cocycle_check(
 def coboundary_products_vanish(rack: FiniteRack, up_to_degree: int = 2) -> bool:
     """``d^(n+1) . d^n = 0`` as exact integer matrix products, n <= up_to_degree."""
     for n in range(up_to_degree + 1):
-        lower = coboundary(rack, n)
-        upper = coboundary(rack, n + 1)
-        product_rows = sparse_matmul(
-            sparse_rows(upper.entries), sparse_rows(lower.entries), lower.cols
-        )
-        if not is_zero_matrix(product_rows):
+        if any(sparse_matmul(coboundary(rack, n + 1).entries, coboundary(rack, n).entries)):
             return False
     return True

@@ -1,56 +1,48 @@
-"""Exact rational linear algebra: rank and sparse integer products.
+"""Exact rational linear algebra on sparse rows.
 
-No floating point anywhere; entries are Python ints or Fractions.
+A matrix is a sequence of rows ``{column position: nonzero coefficient}``;
+the column count is known to the caller and never stored.  No floating point
+anywhere; entries are Python ints or Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
-__all__ = ["exact_rank", "sparse_rows", "sparse_matmul", "is_zero_matrix"]
+__all__ = ["exact_rank", "sparse_matmul"]
 
 
-def exact_rank(matrix: Sequence[Sequence[int | Fraction]]) -> int:
-    """Rank by Gaussian elimination over the rationals."""
-    rows = [list(map(Fraction, row)) for row in matrix if any(row)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for col in range(cols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot_row = r
+def exact_rank(rows: Sequence[Mapping[int, int | Fraction]]) -> int:
+    """Rank over the rationals by elimination on sparse rows.
+
+    Each row is reduced against the pivots met so far, keyed by their leading
+    (smallest) column and scaled to lead with 1; a row that does not reduce
+    to zero becomes the pivot of its leading column.  Zero entries in the
+    input are ignored and the input rows are not modified.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for given in rows:
+        row = {j: v for j, v in given.items() if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                scale = row[lead]
+                pivots[lead] = {j: Fraction(v, scale) for j, v in row.items()}
                 break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] / pivot
-                row_r, row_p = rows[r], rows[rank]
-                for c in range(col, cols):
-                    if row_p[c]:
-                        row_r[c] -= factor * row_p[c]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def sparse_rows(matrix: Sequence[Sequence[int]]) -> list[dict[int, int]]:
-    """Row-wise sparse view {column: value} of an integer matrix."""
-    return [
-        {j: v for j, v in enumerate(row) if v}
-        for row in matrix
-    ]
+            factor = row[lead]
+            for j, v in pivot.items():
+                w = row.get(j, 0) - factor * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return len(pivots)
 
 
 def sparse_matmul(
-    a_rows: list[dict[int, int]], b_rows: list[dict[int, int]], b_cols: int
+    a_rows: Sequence[Mapping[int, int]], b_rows: Sequence[Mapping[int, int]]
 ) -> list[dict[int, int]]:
     """Product of sparse-row integer matrices (a: m x k, b: k x n)."""
     out: list[dict[int, int]] = []
@@ -61,7 +53,3 @@ def sparse_matmul(
                 acc[j] = acc.get(j, 0) + va * vb
         out.append({j: v for j, v in acc.items() if v})
     return out
-
-
-def is_zero_matrix(rows: list[dict[int, int]]) -> bool:
-    return all(not row for row in rows)

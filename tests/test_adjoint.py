@@ -9,7 +9,9 @@ from rackqm.adjoint import (
     trivial_rack_model,
     verify_expression,
 )
+from rackqm.free_product import trivial_product
 from rackqm.racks import builtin_racks, dihedral_quandle, trivial_rack
+from rackqm.sampling import sample_element
 from rackqm.words import AbelianWord, GroupWord, parse_word
 
 
@@ -80,6 +82,24 @@ def test_model_action_is_a_group_action():
             h = model.sample_value(rng, 4)
             assert model.act(model.act(key, g), h) == model.act(key, model.multiply(g, h))
             assert model.act(key, model.identity()) == key
+
+
+@pytest.mark.parametrize(
+    "model", [trivial_rack_model(2, factor="t"), FreeRackFactorModel("a", "a.0")]
+)
+def test_sample_value_rejects_max_exponent_below_one(model):
+    # a nonzero value needs an exponent of size at least 1; the trivial-rack
+    # model used to redraw the all-zero vector forever
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_exponent"):
+            model.sample_value(random.Random(0), bad)
+
+
+def test_sample_element_rejects_max_exponent_zero():
+    parent, rng = trivial_product({"a": 2, "b": 3}), random.Random(0)
+    with pytest.raises(ValueError, match="max_exponent"):
+        for _ in range(10):  # an empty tail draws no value
+            sample_element(parent, rng, 3, 0)
 
 
 def test_model_embedding_satisfies_adjoint_relation():
