@@ -25,7 +25,7 @@ from .free_product import (
     FreeProductRack,
     SyllableWord,
     concat_words,
-    rack_op,
+    rack_op,  # still reachable as quasimorphism.rack_op, which perfbench traces
 )
 from .racks import GroupTable
 from .sampling import (
@@ -50,6 +50,7 @@ __all__ = [
     "zero_family",
     "rolli_qm",
     "rack_qm",
+    "rack_qm_increment",
     "DefectEstimate",
     "group_defect_estimate",
     "rack_defect_estimate",
@@ -310,6 +311,66 @@ def rack_qm(family: LambdaFamily, element: FreeProductElement) -> Fraction:
     return rolli_qm(family, element.tail)
 
 
+def rack_qm_increment(
+    family: LambdaFamily,
+    p: FreeProductElement,
+    q: FreeProductElement,
+    sign: int = 1,
+) -> Fraction:
+    """``phi(p <|^sign q) - phi(p)`` from the syllables at the junction alone.
+
+    ``p <| q`` reduces ``g . h^-1 e_y h``, where g and h are the tails of p
+    and q.  The conjugate ``h^-1 e_y h`` is already alternating, and the
+    family is odd, so it sums to ``lambda(e_y)``; only the end of g and the
+    start of the conjugate can cancel or merge, and once g is used up one
+    leading syllable of the conjugate may be absorbed into p's base.  So the
+    walk stops at the first syllable that survives, and its length is that of
+    the cancellation, not of the tails.  :func:`rack_op` and :func:`rack_qm`
+    on whole tails give the same value.
+    """
+    if p.parent != q.parent:
+        raise ValueError("elements come from different free products")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    parent = p.parent
+    e_y = parent.model(q.base_factor).embed(q.base_key)
+    if sign < 0:
+        e_y = e_y.inverse()
+    head = p.tail.syllables
+    tail = q.tail.syllables
+    n = len(tail)
+
+    def conjugate(k: int) -> tuple[str, AbelianWord]:
+        # the k-th syllable of h^-1 e_y h, which has 2n + 1 of them
+        if k < n:
+            name, value = tail[n - 1 - k]
+            return name, value.inverse()
+        if k == n:
+            return q.base_factor, e_y
+        return tail[k - n - 1]
+
+    value = family.value
+    increment = value(q.base_factor, e_y)
+    i, k = len(head), 0
+    while i and k <= 2 * n:
+        name, v = conjugate(k)
+        last_name, last = head[i - 1]
+        if name != last_name:
+            return increment
+        increment -= value(last_name, last) + value(name, v)
+        i -= 1
+        k += 1
+        merged = parent.model(name).multiply(last, v)
+        if not merged.is_identity:
+            # the merged syllable keeps g's factor, never p's base factor
+            return increment + value(name, merged)
+    if not i and k <= 2 * n:
+        name, v = conjugate(k)
+        if name == p.base_factor:
+            increment -= value(name, v)
+    return increment
+
+
 @dataclass(frozen=True)
 class DefectEstimate:
     """A certified lower bound for a defect: the max observed and who achieved it."""
@@ -382,7 +443,7 @@ def rack_defect_estimate(
     for _ in range(config.samples):
         p = sample_element(parent, rng, config.max_syllables, config.max_exponent)
         q = sample_element(parent, rng, config.max_syllables, config.max_exponent)
-        defect = abs(rack_qm(family, p) - rack_qm(family, rack_op(p, q)))
+        defect = abs(rack_qm_increment(family, p, q))
         if defect > best:
             best = defect
             witness = (p.render(), q.render())

@@ -12,6 +12,7 @@ from rackqm.free_product import (
     trivial_product,
 )
 from rackqm.quasimorphism import (
+    LambdaFamily,
     QmError,
     Sigma,
     TableComponent,
@@ -28,6 +29,7 @@ from rackqm.quasimorphism import (
     iota_family,
     rack_defect_estimate,
     rack_qm,
+    rack_qm_increment,
     rolli_qm,
     sign_family,
     tail_group_word,
@@ -190,6 +192,82 @@ def test_rack_defect_bounded_small_sample():
 def test_rack_defect_zero_family():
     est = rack_defect_estimate(zero_family(FR), SamplerConfig(seed=0, samples=300))
     assert est.max_defect == 0
+
+
+def _whole_tail_increment(family, p, q, sign=1):
+    # the reference path: build p <|^sign q in full and re-sum both tails
+    return rack_qm(family, rack_op(p, q, sign)) - rack_qm(family, p)
+
+
+def test_rack_qm_increment_matches_whole_tail_path():
+    sigma = Sigma(((1, Fraction(1, 2)), (3, Fraction(-2))), Fraction(1, 3))
+    table = TableComponent(
+        "b", ((ab("b.0", 1), Fraction(1)), (ab("b.1", -2), Fraction(-1, 2))), Fraction(1)
+    )
+    rng = random.Random(11)
+    for parent in (FR, FQ, T23):
+        families = [sign_family(parent), iota_family(parent, "a", 0, sigma), zero_family(parent)]
+        if parent is T23:
+            families.append(LambdaFamily(parent, (table,)))
+        for family in families:
+            for _ in range(1500):
+                # short words and exponent 1 make full cancellation and absorption common
+                max_syllables, max_exponent = rng.choice(((0, 1), (1, 1), (2, 1), (3, 2), (8, 4)))
+                p = sample_element(parent, rng, max_syllables, max_exponent)
+                q = p if rng.random() < 0.1 else sample_element(
+                    parent, rng, max_syllables, max_exponent
+                )
+                for sign in (1, -1):
+                    assert rack_qm_increment(family, p, q, sign) == _whole_tail_increment(
+                        family, p, q, sign
+                    ), (p.render(), q.render(), sign)
+
+
+def test_rack_qm_increment_at_the_junction():
+    fam = sign_family(FR)
+    cases = [
+        # h^-1 e_y h cancels all of g, and its next syllable is absorbed
+        ("b.0 | a.0^-1 b.0", "a.0 | b.0", 1),
+        # g cancels the whole conjugate
+        ("a.0 | b.0^-1 a.0^-1 b.0", "a.0 | b.0", 1),
+        # the last syllable of g merges with the conjugate's first
+        ("a.0 | b.0^3", "a.0 | b.0", 1),
+        # nothing cancels
+        ("b.0 | a.0", "a.0 | b.0", 1),
+        # the inverse operation: g cancels one syllable, the next is absorbed
+        ("b.0 | a.0", "b.0 | a.0", -1),
+        # empty tails: e_y is absorbed into p's base, or stays
+        ("a.0 |", "a.0 |", 1),
+        ("a.0 |", "b.0 |", 1),
+    ]
+    for p_text, q_text, sign in cases:
+        p, q = parse_element(FR, p_text), parse_element(FR, q_text)
+        assert rack_qm_increment(fam, p, q, sign) == _whole_tail_increment(fam, p, q, sign)
+
+
+def test_rack_qm_increment_rejects_bad_input():
+    p = parse_element(FR, "a.0 | b.0")
+    with pytest.raises(ValueError):
+        rack_qm_increment(sign_family(FR), p, p, 0)
+    with pytest.raises(ValueError):
+        rack_qm_increment(sign_family(FR), p, parse_element(FQ, "a.0 |"))
+
+
+def test_rack_defect_estimate_matches_whole_tail_loop():
+    sigma = Sigma(((2, Fraction(3, 2)),), Fraction(1))
+    for parent in (FR, FQ, T23):
+        for family in (sign_family(parent), iota_family(parent, "a", 0, sigma)):
+            config = SamplerConfig(seed=3, samples=400, max_syllables=5, max_exponent=2)
+            rng = make_rng(config)
+            best, witness = Fraction(0), ("", "")
+            for _ in range(config.samples):
+                p = sample_element(parent, rng, config.max_syllables, config.max_exponent)
+                q = sample_element(parent, rng, config.max_syllables, config.max_exponent)
+                defect = abs(_whole_tail_increment(family, p, q))
+                if defect > best:
+                    best, witness = defect, (p.render(), q.render())
+            est = rack_defect_estimate(family, config)
+            assert (est.max_defect, est.witness, est.checked) == (best, witness, 400)
 
 
 # -- unboundedness witnesses ---------------------------------------------------------
