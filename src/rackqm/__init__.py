@@ -61,7 +61,6 @@ from .quasimorphism import (
     iota_family,
     rack_defect_estimate,
     rack_qm,
-    rack_qm_increment,
     rolli_qm,
     sign_family,
     v0_dim,

@@ -195,14 +195,14 @@ def cohomology_dims(
 
     ``dim H^k = dim C^k - rank(d^k) - rank(d^(k-1))``, with ``dim C^k`` the
     column count of d^k; quandle mode computes on the nondegenerate
-    coordinate subspace.
+    coordinate subspace.  d^0 is zero on the one-point C^0, so H^0 is 1.
     """
     if max_degree < 0:
         return []
     _check_cap(rack, max_degree + 1, cap)
-    dims = []
+    dims = [1]
     rank_below = 0  # rank of d^(k-1)
-    for k in range(max_degree + 1):
+    for k in range(1, max_degree + 1):
         if quandle_mode:
             _, cols, rows = quandle_coboundary(rack, k, cap)
             space_dim = len(cols)

@@ -50,7 +50,6 @@ __all__ = [
     "zero_family",
     "rolli_qm",
     "rack_qm",
-    "rack_qm_increment",
     "DefectEstimate",
     "group_defect_estimate",
     "rack_defect_estimate",
@@ -315,9 +314,8 @@ def rack_qm_increment(
     family: LambdaFamily,
     p: FreeProductElement,
     q: FreeProductElement,
-    sign: int = 1,
 ) -> Fraction:
-    """``phi(p <|^sign q) - phi(p)`` from the syllables at the junction alone.
+    """``phi(p <| q) - phi(p)`` from the syllables at the junction alone.
 
     ``p <| q`` reduces ``g . h^-1 e_y h``, where g and h are the tails of p
     and q.  The conjugate ``h^-1 e_y h`` is already alternating, and the
@@ -330,12 +328,8 @@ def rack_qm_increment(
     """
     if p.parent != q.parent:
         raise ValueError("elements come from different free products")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     parent = p.parent
     e_y = parent.model(q.base_factor).embed(q.base_key)
-    if sign < 0:
-        e_y = e_y.inverse()
     head = p.tail.syllables
     tail = q.tail.syllables
     n = len(tail)

@@ -27,6 +27,7 @@ from rackqm.racks import (
     dihedral_quandle,
     symmetric_group,
     trivial_rack,
+    validate_rack,
 )
 from rackqm.sampling import SamplerConfig
 
@@ -186,6 +187,16 @@ def test_dihedral_quandle_mode_dims():
     assert rack_dims[0] == quandle_dims[0] == 1
     assert rack_dims[1] == quandle_dims[1] == 1
     assert quandle_dims[2] <= rack_dims[2]
+
+
+def test_quandle_mode_on_a_non_quandle():
+    # the cyclic rack x <| y = x + 1 on two points is a rack but not a quandle;
+    # H^0 needs no coboundary, so only degree >= 1 asks for a quandle
+    rack = validate_rack([[1, 1], [0, 0]])
+    assert not rack.quandle
+    assert cohomology_dims(rack, 0, quandle_mode=True) == [1]
+    with pytest.raises(ValueError, match="needs a quandle"):
+        cohomology_dims(rack, 1, quandle_mode=True)
 
 
 def test_quandle_degenerate_block_structure():
