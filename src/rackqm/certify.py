@@ -128,21 +128,17 @@ class GrowthReport:
 
 
 def boundedness_refutation(
-    family: LambdaFamily,
-    parent: FreeProductRack | None = None,
-    ns: Sequence[int] = (1, 10, 100),
+    family: LambdaFamily, ns: Sequence[int] = (1, 10, 100)
 ) -> GrowthReport:
     """Certify that the induced rack quasimorphism is unbounded (hence its
     coboundary class nontrivial): exact values along the growth witness."""
-    parent = parent or family.parent
-    witness = find_unboundedness_witness(family, parent)
+    witness = find_unboundedness_witness(family)
     table = witness_growth_table(family, witness, ns)
-    period = witness.period()
-    period_text = " ".join(v.render() for _, v in period)
+    period_text = " ".join(v.render() for _, v in witness.period())
     return GrowthReport(
         # a trivial rack of size m has m orbits; a one-generator free rack has
         # one; either way the factor's rank
-        component_count=sum(f.rank for f in parent.factors),
+        component_count=sum(f.rank for f in family.parent.factors),
         component_count_label="factor-orbit sum",
         witness_text=period_text,
         slope=witness.slope,

@@ -28,6 +28,8 @@ from .words import GroupWord, WordParseError, parse_word
 
 OK, INVARIANT_VIOLATED, INPUT_ERROR = 0, 1, 2
 
+HOMOGENIZE_LETTERS = 2**20  # letter budget of the longest power qm homogenize builds
+
 _FACTOR_REF = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\.")
 
 
@@ -211,7 +213,7 @@ def cmd_qm_eval(args) -> int:
 
 
 def cmd_qm_defect(args) -> int:
-    parent, family = _load_family(args, args.family)
+    _, family = _load_family(args, args.family)
     config = _sampler(args)
     if args.group:
         estimate = qm.group_defect_estimate(
@@ -246,9 +248,9 @@ def cmd_qm_defect(args) -> int:
 
 
 def cmd_qm_witness(args) -> int:
-    parent, family = _load_family(args, args.family)
+    _, family = _load_family(args, args.family)
     try:
-        report = boundedness_refutation(family, parent)
+        report = boundedness_refutation(family)
     except qm.QmError as exc:
         print(f"cannot certify: {exc}")
         return INVARIANT_VIOLATED
@@ -266,6 +268,15 @@ def cmd_qm_witness(args) -> int:
 def cmd_qm_homogenize(args) -> int:
     pattern = parse_word(args.word)
     target = parse_word(args.target)
+    for flag, value in (("--doublings", args.doublings), ("--samples", args.samples)):
+        if value < 0:
+            raise CliInputError(f"{flag} must be at least 0, got {value}")
+    # the last power has |target| * 2^doublings letters
+    if max(target.length(), 1) > HOMOGENIZE_LETTERS >> args.doublings:
+        raise CliInputError(
+            f"--doublings {args.doublings} on a target of {target.length()} letters "
+            f"exceeds the budget of {HOMOGENIZE_LETTERS} letters"
+        )
     phi = qm.brooks(pattern)
     defect_bound = qm.parse_fraction(args.defect_bound)
 

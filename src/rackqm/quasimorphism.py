@@ -8,6 +8,10 @@ certified unbounded through explicit witness elements with exactly linear
 growth.  All values are exact rationals, so the defect bounds here are hard
 assertions rather than float comparisons.
 
+Every defect and cocycle check is computed at the junction where two reduced
+words meet (:func:`_junction`); re-summing whole words with :func:`rolli_qm`
+and :func:`rack_qm` gives the same values and is kept as the tests' oracle.
+
 The homogeneous route is also provided: Brooks counting quasimorphisms on
 free-group words, numeric homogenization with certified interval arithmetic
 (conditional on a user-supplied defect bound, which this module never
@@ -24,8 +28,8 @@ from .free_product import (
     FreeProductElement,
     FreeProductRack,
     SyllableWord,
-    concat_words,
-    rack_op,  # still reachable as quasimorphism.rack_op, which perfbench traces
+    concat_words,  # concat_words and rack_op are not called here; the
+    rack_op,  # benchmark's tracer patches them on this module
 )
 from .racks import GroupTable
 from .sampling import (
@@ -310,6 +314,33 @@ def rack_qm(family: LambdaFamily, element: FreeProductElement) -> Fraction:
     return rolli_qm(family, element.tail)
 
 
+def _junction(
+    family: LambdaFamily,
+    head: Sequence[tuple[str, AbelianWord]],
+    at: Callable[[int], tuple[str, AbelianWord]],
+    length: int,
+) -> tuple[Fraction | None, int, int]:
+    """``(phi(g) + phi(h) - phi(gh), i, k)`` for alternating g = ``head`` and
+    h = ``at(0..length-1)``.  Cancelled pairs add 0 because the family is odd,
+    so the walk stops at ``head[i-1]`` against ``at(k)``: with the merge term
+    ``lambda(a) + lambda(b) - lambda(ab)`` if they merge, else with None (a
+    difference of 0) once the factors differ or a side is used up."""
+    models = family.parent.model
+    value = family.value
+    i, k = len(head), 0
+    while i and k < length:
+        name, b = at(k)
+        last_name, a = head[i - 1]
+        if name != last_name:
+            break
+        merged = models(name).multiply(a, b)
+        if not merged.is_identity:
+            return value(name, a) + value(name, b) - value(name, merged), i, k
+        i -= 1
+        k += 1
+    return None, i, k
+
+
 def rack_qm_increment(
     family: LambdaFamily,
     p: FreeProductElement,
@@ -320,17 +351,14 @@ def rack_qm_increment(
     ``p <| q`` reduces ``g . h^-1 e_y h``, where g and h are the tails of p
     and q.  The conjugate ``h^-1 e_y h`` is already alternating, and the
     family is odd, so it sums to ``lambda(e_y)``; only the end of g and the
-    start of the conjugate can cancel or merge, and once g is used up one
-    leading syllable of the conjugate may be absorbed into p's base.  So the
-    walk stops at the first syllable that survives, and its length is that of
-    the cancellation, not of the tails.  :func:`rack_op` and :func:`rack_qm`
-    on whole tails give the same value.
+    start of the conjugate can cancel or merge (:func:`_junction`), and once
+    g is used up one leading syllable of the conjugate may be absorbed into
+    p's base.  :func:`rack_op` and :func:`rack_qm` on whole tails give the
+    same value.
     """
     if p.parent != q.parent:
         raise ValueError("elements come from different free products")
-    parent = p.parent
-    e_y = parent.model(q.base_factor).embed(q.base_key)
-    head = p.tail.syllables
+    e_y = p.parent.model(q.base_factor).embed(q.base_key)
     tail = q.tail.syllables
     n = len(tail)
 
@@ -343,25 +371,14 @@ def rack_qm_increment(
             return q.base_factor, e_y
         return tail[k - n - 1]
 
-    value = family.value
-    increment = value(q.base_factor, e_y)
-    i, k = len(head), 0
-    while i and k <= 2 * n:
-        name, v = conjugate(k)
-        last_name, last = head[i - 1]
-        if name != last_name:
-            return increment
-        increment -= value(last_name, last) + value(name, v)
-        i -= 1
-        k += 1
-        merged = parent.model(name).multiply(last, v)
-        if not merged.is_identity:
-            # the merged syllable keeps g's factor, never p's base factor
-            return increment + value(name, merged)
+    merge, i, k = _junction(family, p.tail.syllables, conjugate, 2 * n + 1)
+    increment = family.value(q.base_factor, e_y)
+    if merge is not None:
+        return increment - merge  # a merged syllable keeps g's factor, not the base's
     if not i and k <= 2 * n:
         name, v = conjugate(k)
         if name == p.base_factor:
-            increment -= value(name, v)
+            increment -= family.value(name, v)
     return increment
 
 
@@ -386,42 +403,41 @@ def group_defect_estimate(
     The exhaustive part enumerates all pairs of alternating words whose
     syllable counts sum to at most ``exhaustive_syllables`` with factor
     values bounded by ``exhaustive_exponent``; the random part draws
-    ``config.samples`` extra pairs.  The result is a lower bound for the
-    true defect, reported with an achieving pair.
+    ``config.samples`` extra pairs.  Each difference is read off the junction
+    of g and h (:func:`_junction`).  The result is a lower bound for the true
+    defect, reported with an achieving pair.
     """
     parent = family.parent
     best = Fraction(0)
     witness = ("", "")
     checked = 0
 
-    def consider(g: SyllableWord, h: SyllableWord, pg: Fraction, ph: Fraction) -> None:
+    def consider(g: SyllableWord, h: SyllableWord) -> None:
         nonlocal best, witness, checked
         checked += 1
-        defect = abs(pg + ph - rolli_qm(family, concat_words(parent, g, h)))
-        if defect > best:
-            best = defect
+        merge = _junction(family, g.syllables, h.syllables.__getitem__, len(h))[0]
+        if merge is not None and abs(merge) > best:
+            best = abs(merge)
             witness = (g.render(), h.render())
 
     if exhaustive_syllables is not None:
         exponent = config.max_exponent if exhaustive_exponent is None else exhaustive_exponent
-        by_length: dict[int, list[tuple[SyllableWord, Fraction]]] = {}
+        by_length: dict[int, list[SyllableWord]] = {}
         for word in enumerate_syllable_words(parent, exhaustive_syllables, exponent):
-            by_length.setdefault(len(word), []).append(
-                (word, rolli_qm(family, word))
-            )
+            by_length.setdefault(len(word), []).append(word)
         for lg, gs in sorted(by_length.items()):
             for lh, hs in sorted(by_length.items()):
                 if lg + lh > exhaustive_syllables:
                     break
-                for g, pg in gs:
-                    for h, ph in hs:
-                        consider(g, h, pg, ph)
+                for g in gs:
+                    for h in hs:
+                        consider(g, h)
 
     rng = make_rng(config)
     for _ in range(config.samples):
         g = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
         h = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
-        consider(g, h, rolli_qm(family, g), rolli_qm(family, h))
+        consider(g, h)
 
     return DefectEstimate(best, witness, checked)
 
@@ -474,16 +490,14 @@ class UnboundednessWitness:
         return FreeProductElement(self.parent, self.base_factor, self.base_key, tail)
 
 
-def find_unboundedness_witness(
-    family: LambdaFamily, parent: FreeProductRack | None = None
-) -> UnboundednessWitness:
+def find_unboundedness_witness(family: LambdaFamily) -> UnboundednessWitness:
     """Locate a nonzero probe and build the growth witness.
 
     The probe scans each component's declared support; the sign of ``e_x`` is
     chosen to maximize ``|lambda(g0) + lambda(e_x^eps)|``, which is nonzero
     for at least one sign because the family is odd.
     """
-    parent = parent or family.parent
+    parent = family.parent
     for probe_factor, probe in family.probes():
         lam0 = family.value(probe_factor, probe)
         if lam0 == 0:

@@ -89,8 +89,11 @@ def enumerate_syllable_words(
     """All alternating words with at most ``max_syllables`` syllables and factor
     values drawn from each model's bounded enumeration (identity included).
 
-    The count grows geometrically; meant for small exhaustive budgets.
+    The count grows geometrically; meant for small exhaustive budgets.  A
+    negative budget raises at the call, not at the first word.
     """
+    if max_syllables < 0:
+        raise ValueError(f"--exhaustive must be at least 0, got {max_syllables}")
     values = {
         f.factor: tuple(f.enumerate_values(max_exponent)) for f in parent.factors
     }
@@ -106,4 +109,4 @@ def enumerate_syllable_words(
             for value in values[name]:
                 yield from extend(prefix + ((name, value),), name)
 
-    yield from extend((), None)
+    return extend((), None)

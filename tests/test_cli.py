@@ -175,23 +175,74 @@ def test_qm_defect_group_exhaustive(sign_family_file, capsys):
     assert Fraction(data["observed"]) <= 3
 
 
+def run_cli(*args):
+    # a separate process, so that a command that never returns fails the
+    # test through the timeout instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(rackqm.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "rackqm.cli", *args],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--max-exponent", "0"), ("--samples", "-5"), ("--max-syllables", "-1")],
 )
 def test_qm_defect_rejects_bad_sampler_input(sign_family_file, flag, value):
-    # a separate process, so that a sampler that never returns fails the
-    # test through the timeout instead of hanging the suite
-    src = os.path.dirname(os.path.dirname(rackqm.__file__))
-    result = subprocess.run(
-        [sys.executable, "-m", "rackqm.cli", "qm", "defect", sign_family_file,
-         "--sizes", "a=2,b=3", flag, value],
-        capture_output=True, text=True, timeout=30,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    result = run_cli("qm", "defect", sign_family_file, "--sizes", "a=2,b=3", flag, value)
     assert result.returncode == 2
     assert flag in result.stderr
     assert result.stdout == ""
+
+
+def test_qm_defect_rejects_negative_exhaustive(sign_family_file):
+    result = run_cli("qm", "defect", sign_family_file, "--group", "--exhaustive", "-1")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: --exhaustive")
+
+
+HOMOGENIZE = ("qm", "homogenize", "--word", "a b", "--target", "a b", "--defect-bound", "2")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (*HOMOGENIZE, "--doublings", "-3"),
+        (*HOMOGENIZE, "--samples", "-4"),
+        # |target| * 2^doublings letters over the budget of 2^20
+        (*HOMOGENIZE, "--doublings", "20"),
+        (*HOMOGENIZE, "--doublings", "30"),
+        (*HOMOGENIZE, "--doublings", str(10**30)),
+        ("qm", "homogenize", "--word", "a", "--target", "a^2000000", "--defect-bound", "0",
+         "--doublings", "0"),
+    ],
+)
+def test_qm_homogenize_rejects_bad_numeric_input(args):
+    result = run_cli(*args)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: {args[-2]}")
+
+
+DEFECT_FLAGS = ("--exhaustive", "--seed", "--samples", "--max-syllables", "--max-exponent")
+HOMOGENIZE_FLAGS = ("--doublings", "--seed", "--samples")
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "21"])
+def test_qm_numeric_flags_never_leak_a_traceback(sign_family_file, value):
+    # 21 is over the letter budget for --doublings, and ordinary elsewhere
+    runs = [
+        ("qm", "defect", sign_family_file, "--group", "--samples", "20",
+         "--max-syllables", "3", "--max-exponent", "2", flag, value)
+        for flag in DEFECT_FLAGS
+        if not (flag == "--exhaustive" and value == "21")  # 21 syllables is geometric work
+    ]
+    runs += [(*HOMOGENIZE, "--samples", "20", flag, value) for flag in HOMOGENIZE_FLAGS]
+    for args in runs:
+        result = run_cli(*args)
+        assert result.returncode in (0, 1, 2), (args, result.stderr)
+        assert "Traceback" not in result.stderr, (args, result.stderr)
 
 
 def test_qm_witness(sign_family_file, capsys):

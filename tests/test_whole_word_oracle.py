@@ -1,0 +1,176 @@
+"""The junction walk against whole-word reference loops.
+
+``group_defect_estimate``, ``check_cocycle_diag`` and ``bounded_2cocycle_check``
+read every difference off the junction where two reduced words meet.  The
+loops here re-sum whole words instead (``concat_words`` + ``rolli_qm`` on the
+group side, ``rack_op`` + ``rack_qm`` on the rack side), draw the same pairs
+in the same order, and must give equal results in every field.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import rackqm.quasimorphism as qm_mod
+from rackqm.cochain import Bounded2CocycleReport, bounded_2cocycle_check, check_cocycle_diag
+from rackqm.free_product import concat_words, free_quandle, free_rack, rack_op, trivial_product
+from rackqm.quasimorphism import (
+    DefectEstimate,
+    LambdaFamily,
+    Sigma,
+    TableComponent,
+    group_defect_estimate,
+    iota_family,
+    rack_qm,
+    rolli_qm,
+    sign_family,
+    zero_family,
+)
+from rackqm.sampling import (
+    SamplerConfig,
+    enumerate_syllable_words,
+    make_rng,
+    sample_element,
+    sample_syllable_word,
+)
+from rackqm.words import AbelianWord
+
+PARENTS = {
+    "FR": free_rack(["a", "b"]),
+    "FQ": free_quandle(["a", "b"]),
+    "T2*T3": trivial_product({"a": 2, "b": 3}),
+    "FR3": free_rack(["a", "b", "c"]),
+}
+
+
+def families(parent):
+    b0 = parent.model("b").generator_names[0]
+    table = TableComponent(
+        "b", ((AbelianWord(((b0, 2),)), Fraction(1, 2)),), Fraction(1, 2)
+    )
+    fractional = Sigma(((1, Fraction(1, 2)), (2, Fraction(-2))), Fraction(1, 3))
+    return {
+        "sign": sign_family(parent),
+        "iota(+-1)": iota_family(parent, "a", 0, Sigma.indicator(1)),
+        "iota(+-3)": iota_family(parent, "a", 0, Sigma.indicator(3)),
+        "iota(1/3 tail)": iota_family(parent, "a", 0, fractional),
+        "table": LambdaFamily(parent, (table,)),
+        "zero": zero_family(parent),
+    }
+
+
+CASES = [
+    pytest.param(parent, label, id=f"{name}-{label}")
+    for name, parent in PARENTS.items()
+    for label in families(parent)
+]
+
+# short words and small exponents make full cancellation and merges common
+CONFIG = SamplerConfig(seed=5, samples=300, max_syllables=4, max_exponent=2)
+
+
+def whole_word_group_defect(family, config, exhaustive_syllables, exhaustive_exponent):
+    parent = family.parent
+    by_length = {}
+    for word in enumerate_syllable_words(parent, exhaustive_syllables, exhaustive_exponent):
+        by_length.setdefault(len(word), []).append(word)
+    # pairs ordered by (|g|, |h|), then in enumeration order
+    pairs = [
+        (g, h)
+        for lg, gs in sorted(by_length.items())
+        for lh, hs in sorted(by_length.items())
+        if lg + lh <= exhaustive_syllables
+        for g in gs
+        for h in hs
+    ]
+    rng = make_rng(config)
+    for _ in range(config.samples):
+        g = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
+        h = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
+        pairs.append((g, h))
+    best, witness = Fraction(0), ("", "")
+    for g, h in pairs:
+        gh = concat_words(parent, g, h)
+        defect = abs(rolli_qm(family, g) + rolli_qm(family, h) - rolli_qm(family, gh))
+        if defect > best:
+            best, witness = defect, (g.render(), h.render())
+    return DefectEstimate(best, witness, len(pairs))
+
+
+def whole_tail_F(family, p, q):
+    return rack_qm(family, p) - rack_qm(family, rack_op(p, q))
+
+
+def whole_tail_diag(family, config):
+    rng = make_rng(config)
+    for i in range(config.samples):
+        p = sample_element(family.parent, rng, config.max_syllables, config.max_exponent)
+        if whole_tail_F(family, p, p) != 0:
+            return False, i + 1
+    return True, config.samples
+
+
+def whole_tail_2cocycle(family, config, dd_triples):
+    parent = family.parent
+    rng = make_rng(config)
+    worst = Fraction(0)
+    for _ in range(config.samples):
+        p = sample_element(parent, rng, config.max_syllables, config.max_exponent)
+        q = sample_element(parent, rng, config.max_syllables, config.max_exponent)
+        worst = max(worst, abs(whole_tail_F(family, p, q)))
+    # the triples come from a fresh stream of the same seed
+    rng = make_rng(config)
+    F = lambda a, b: whole_tail_F(family, a, b)  # noqa: E731
+    all_zero = True
+    for _ in range(dd_triples):
+        p = sample_element(parent, rng, config.max_syllables, config.max_exponent)
+        q = sample_element(parent, rng, config.max_syllables, config.max_exponent)
+        r = sample_element(parent, rng, config.max_syllables, config.max_exponent)
+        if F(p, r) - F(p, q) - F(rack_op(p, q), r) + F(rack_op(p, r), rack_op(q, r)):
+            all_zero = False
+            break
+    return Bounded2CocycleReport(worst, 4 * family.bound, config.samples, dd_triples, all_zero)
+
+
+@pytest.mark.parametrize("parent, label", CASES)
+def test_group_defect_matches_whole_word_loop(parent, label):
+    family = families(parent)[label]
+    exhaustive = (CONFIG, 3, 1)
+    sampled = (SamplerConfig(seed=2, samples=400, max_syllables=3, max_exponent=2), 0, 1)
+    for config, syllables, exponent in (exhaustive, sampled):
+        est = group_defect_estimate(family, config, syllables, exponent)
+        assert est == whole_word_group_defect(family, config, syllables, exponent)
+
+
+@pytest.mark.parametrize("parent, label", CASES)
+def test_cocycle_checks_match_whole_tail_loops(parent, label):
+    family = families(parent)[label]
+    assert check_cocycle_diag(family, CONFIG) == whole_tail_diag(family, CONFIG)
+    report = bounded_2cocycle_check(family, CONFIG, dd_triples=60)
+    assert report == whole_tail_2cocycle(family, CONFIG, 60)
+
+
+def test_group_defect_sees_merges():
+    # the largest merge term with exponents up to 2 is
+    # |sigma(2) + sigma(2) - sigma(4)| = |-2 - 2 - 1/3|
+    est = group_defect_estimate(families(PARENTS["FR"])["iota(1/3 tail)"], CONFIG, 3, 2)
+    assert est.max_defect == Fraction(13, 3)
+
+
+def test_junction_paths_never_resum_whole_words(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("whole-word path called")
+
+    monkeypatch.setattr(qm_mod, "concat_words", refuse)
+    monkeypatch.setattr(qm_mod, "rolli_qm", refuse)
+    family = sign_family(PARENTS["FR"])
+    group_defect_estimate(family, CONFIG, 2, 2)
+    check_cocycle_diag(family, CONFIG)
+    bounded_2cocycle_check(family, CONFIG, dd_triples=20)
+
+
+def test_negative_exhaustive_budget_is_rejected():
+    with pytest.raises(ValueError, match="--exhaustive"):
+        enumerate_syllable_words(PARENTS["FR"], -1, 2)
+    with pytest.raises(ValueError, match="--exhaustive"):
+        group_defect_estimate(sign_family(PARENTS["FR"]), CONFIG, -1)
