@@ -190,17 +190,11 @@ def _check_max_exponent(max_exponent: int) -> None:
         raise ValueError(f"max_exponent must be at least 1, got {max_exponent}")
 
 
-def trivial_rack_model(
-    n: int, factor: str = "t", names: tuple[str, ...] | None = None
-) -> TrivialRackModel:
+def trivial_rack_model(n: int, factor: str = "t") -> TrivialRackModel:
     """The free abelian model of rank n; rank 1 is the infinite cyclic group."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    if names is None:
-        names = tuple(f"{factor}.{i}" for i in range(n))
-    elif len(names) != n:
-        raise ValueError("need one generator name per element")
-    return TrivialRackModel(factor, names)
+    return TrivialRackModel(factor, tuple(f"{factor}.{i}" for i in range(n)))
 
 
 def express_generator(

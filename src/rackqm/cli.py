@@ -28,7 +28,8 @@ from .words import GroupWord, WordParseError, parse_word
 
 OK, INVARIANT_VIOLATED, INPUT_ERROR = 0, 1, 2
 
-HOMOGENIZE_LETTERS = 2**20  # letter budget of the longest power qm homogenize builds
+HOMOGENIZE_LETTERS = 2**20  # letter budget of qm homogenize's pattern and of its longest power
+EXHAUSTIVE_WORDS = 10**6  # budget of factor values plus words qm defect --exhaustive enumerates
 
 _FACTOR_REF = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\.")
 
@@ -212,10 +213,41 @@ def cmd_qm_eval(args) -> int:
     return OK
 
 
+def _exhaustive_size(parent: fp.FreeProductRack, syllables: int, exponent: int) -> int:
+    """The factor values plus alternating words of at most ``syllables``
+    syllables that the exhaustive enumeration builds, counted in closed form
+    and only until the count passes ``EXHAUSTIVE_WORDS``."""
+    values = {}  # a rank-r factor has every exponent vector in [-E, E]^r but 0
+    for f in parent.factors:
+        count = 1
+        for _ in range(f.rank):
+            count *= 2 * exponent + 1
+            if count > EXHAUSTIVE_WORDS:
+                break
+        values[f.factor] = count - 1
+    total = 1 + sum(values.values())  # the empty word and the factor values
+    ending = dict(values)  # the words of the current length, by last factor
+    for _ in range(syllables):
+        if total > EXHAUSTIVE_WORDS:
+            break
+        words = sum(ending.values())
+        total += words
+        ending = {name: v * (words - ending[name]) for name, v in values.items()}
+    return total
+
+
 def cmd_qm_defect(args) -> int:
-    _, family = _load_family(args, args.family)
+    parent, family = _load_family(args, args.family)
     config = _sampler(args)
     if args.group:
+        if (
+            args.exhaustive is not None
+            and _exhaustive_size(parent, args.exhaustive, args.max_exponent) > EXHAUSTIVE_WORDS
+        ):
+            raise CliInputError(
+                f"--exhaustive {args.exhaustive} at --max-exponent {args.max_exponent} enumerates "
+                f"more than the budget of {EXHAUSTIVE_WORDS} factor values and words"
+            )
         estimate = qm.group_defect_estimate(
             family,
             config,
@@ -271,6 +303,11 @@ def cmd_qm_homogenize(args) -> int:
     for flag, value in (("--doublings", args.doublings), ("--samples", args.samples)):
         if value < 0:
             raise CliInputError(f"{flag} must be at least 0, got {value}")
+    if pattern.length() > HOMOGENIZE_LETTERS:
+        raise CliInputError(
+            f"--word of {pattern.length()} letters exceeds the budget of "
+            f"{HOMOGENIZE_LETTERS} letters"
+        )
     # the last power has |target| * 2^doublings letters
     if max(target.length(), 1) > HOMOGENIZE_LETTERS >> args.doublings:
         raise CliInputError(

@@ -477,16 +477,16 @@ class UnboundednessWitness:
     def slope(self) -> Fraction:
         return abs(self.increment)
 
-    def period(self) -> tuple[tuple[str, AbelianWord], tuple[str, AbelianWord]]:
+    def period(self) -> SyllableWord:
         e_x = self.parent.model(self.base_factor).embed(self.base_key)
         if self.epsilon < 0:
             e_x = e_x.inverse()
-        return ((self.probe_factor, self.probe_value), (self.base_factor, e_x))
+        return SyllableWord(((self.probe_factor, self.probe_value), (self.base_factor, e_x)))
 
     def element(self, n: int) -> FreeProductElement:
         if n < 0:
             raise ValueError("witness exponent must be nonnegative")
-        tail = SyllableWord(self.period() * n)
+        tail = SyllableWord(self.period().syllables * n)
         return FreeProductElement(self.parent, self.base_factor, self.base_key, tail)
 
 
@@ -519,16 +519,13 @@ def find_unboundedness_witness(family: LambdaFamily) -> UnboundednessWitness:
 def witness_growth_table(
     family: LambdaFamily, witness: UnboundednessWitness, ns: Sequence[int]
 ) -> dict[int, Fraction]:
-    """``n -> phi(witness(n))`` for every requested n, via one pass of partial
-    sums over the longest witness tail (each prefix is itself canonical)."""
-    n_max = max(ns)
-    tail = witness.element(n_max).tail
-    partial = [Fraction(0)]
-    running = Fraction(0)
-    for factor, value in tail.syllables:
-        running += family.value(factor, value)
-        partial.append(running)
-    return {n: partial[2 * n] for n in ns}
+    """``n -> phi(witness(n)) = n * rolli_qm(family, period)`` for every n: the
+    period's two syllables are non-identity values in different factors, the
+    first outside the base's, so ``period^n`` is the reduced tail."""
+    if any(n < 0 for n in ns):
+        raise ValueError("witness exponent must be nonnegative")
+    step = rolli_qm(family, witness.period())
+    return {n: n * step for n in ns}
 
 
 # -- homogeneous quasimorphisms on free-group words ----------------------------
@@ -545,21 +542,23 @@ def brooks_qm(pattern: GroupWord, g: GroupWord) -> int:
     >>> brooks_qm(parse_word("a"), parse_word("a^3"))
     3
     """
-    if pattern.is_identity:
-        raise QmError("Brooks pattern must be nonempty")
-
-    def occurrences(needle: list[tuple[str, int]], hay: list[tuple[str, int]]) -> int:
-        k = len(needle)
-        return sum(1 for i in range(len(hay) - k + 1) if hay[i : i + k] == needle)
-
-    hay = list(g.letters())
-    return occurrences(list(pattern.letters()), hay) - occurrences(
-        list(pattern.inverse().letters()), hay
-    )
+    return brooks(pattern)(g)
 
 
 def brooks(pattern: GroupWord) -> Callable[[GroupWord], int]:
-    return lambda g: brooks_qm(pattern, g)
+    """:func:`brooks_qm` for one pattern, expanded into letters once."""
+    if pattern.is_identity:
+        raise QmError("Brooks pattern must be nonempty")
+    needle = tuple(pattern.letters())
+    inverse = tuple(pattern.inverse().letters())
+    k = len(needle)
+
+    def count(g: GroupWord) -> int:
+        hay = tuple(g.letters())
+        windows = (hay[i : i + k] for i in range(len(hay) - k + 1))
+        return sum((w == needle) - (w == inverse) for w in windows)
+
+    return count
 
 
 def exponent_sum_hom(g: GroupWord) -> int:

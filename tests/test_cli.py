@@ -6,8 +6,11 @@ import sys
 import pytest
 
 import rackqm
+from rackqm import cli
 from rackqm.cli import main
+from rackqm.free_product import free_rack, trivial_product
 from rackqm.racks import dihedral_quandle, rack_to_dict, trivial_rack
+from rackqm.sampling import enumerate_syllable_words
 
 
 @pytest.fixture()
@@ -203,6 +206,52 @@ def test_qm_defect_rejects_negative_exhaustive(sign_family_file):
     assert result.stderr.startswith("error: --exhaustive")
 
 
+@pytest.mark.parametrize(
+    "budget",
+    [("--exhaustive", "3"), ("--exhaustive", "0", "--max-exponent", "200"),
+     ("--exhaustive", "21", "--max-exponent", "2")],
+    ids=" ".join,
+)
+def test_qm_defect_rejects_exhaustive_runs_over_budget(sign_family_file, budget):
+    result = run_cli(
+        "qm", "defect", sign_family_file, "--sizes", "a=2,b=3", "--group", "--samples", "0",
+        *budget,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: --exhaustive")
+
+
+@pytest.mark.parametrize(
+    "parent, syllables, exponent",
+    [
+        pytest.param(trivial_product({"a": 2, "b": 3}), 1, 2, id="T2*T3-1-2"),
+        pytest.param(trivial_product({"a": 2, "b": 3}), 3, 1, id="T2*T3-3-1"),
+        pytest.param(free_rack(["a", "b"]), 6, 3, id="FR-6-3"),
+        pytest.param(free_rack(["a", "b", "c"]), 4, 2, id="FR3-4-2"),
+    ],
+)
+def test_exhaustive_size_counts_what_the_enumeration_builds(parent, syllables, exponent):
+    values = sum(len(list(f.enumerate_values(exponent))) for f in parent.factors)
+    words = sum(1 for _ in enumerate_syllable_words(parent, syllables, exponent))
+    assert cli._exhaustive_size(parent, syllables, exponent) == values + words
+
+
+def test_exhaustive_budget_admits_the_documented_runs():
+    # two syllables on a=2,b=3 at the default exponent: 1450 values, 320,651 words
+    assert cli._exhaustive_size(trivial_product({"a": 2, "b": 3}), 2, 5) == 322_101
+    assert cli._exhaustive_size(free_rack(["a", "b"]), 6, 3) <= cli.EXHAUSTIVE_WORDS
+
+
+def test_qm_homogenize_expands_a_long_pattern_once():
+    # 500 sampled pairs against a pattern of a million letters
+    result = run_cli(
+        "qm", "homogenize", "--word", "a^1000000", "--target", "a", "--defect-bound", "2",
+        "--doublings", "0",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "N = 1: center 0, radius 2\n"
+
+
 HOMOGENIZE = ("qm", "homogenize", "--word", "a b", "--target", "a b", "--defect-bound", "2")
 
 
@@ -217,6 +266,8 @@ HOMOGENIZE = ("qm", "homogenize", "--word", "a b", "--target", "a b", "--defect-
         (*HOMOGENIZE, "--doublings", str(10**30)),
         ("qm", "homogenize", "--word", "a", "--target", "a^2000000", "--defect-bound", "0",
          "--doublings", "0"),
+        ("qm", "homogenize", "--target", "a", "--defect-bound", "2", "--doublings", "0",
+         "--word", "a^2000000"),
     ],
 )
 def test_qm_homogenize_rejects_bad_numeric_input(args):
@@ -231,12 +282,12 @@ HOMOGENIZE_FLAGS = ("--doublings", "--seed", "--samples")
 
 @pytest.mark.parametrize("value", ["-1", "0", "21"])
 def test_qm_numeric_flags_never_leak_a_traceback(sign_family_file, value):
-    # 21 is over the letter budget for --doublings, and ordinary elsewhere
+    # 21 is over the letter budget for --doublings and the word budget for
+    # --exhaustive, and ordinary elsewhere
     runs = [
         ("qm", "defect", sign_family_file, "--group", "--samples", "20",
          "--max-syllables", "3", "--max-exponent", "2", flag, value)
         for flag in DEFECT_FLAGS
-        if not (flag == "--exhaustive" and value == "21")  # 21 syllables is geometric work
     ]
     runs += [(*HOMOGENIZE, "--samples", "20", flag, value) for flag in HOMOGENIZE_FLAGS]
     for args in runs:

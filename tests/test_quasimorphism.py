@@ -300,6 +300,25 @@ def test_witness_growth_table_matches_direct_evaluation():
         assert rack_qm(fam, witness.element(n)) == table[n]
 
 
+def test_witness_growth_table_rejects_negative_n():
+    fam = sign_family(FR)
+    witness = find_unboundedness_witness(fam)
+    with pytest.raises(ValueError, match="nonnegative"):
+        witness_growth_table(fam, witness, [3, -1])
+
+
+def test_witness_growth_table_of_no_points_is_empty():
+    fam = sign_family(FR)
+    assert witness_growth_table(fam, find_unboundedness_witness(fam), []) == {}
+
+
+def test_witness_period_is_what_element_repeats():
+    witness = find_unboundedness_witness(sign_family(T23))
+    period = witness.period()
+    assert isinstance(period, SyllableWord)
+    assert witness.element(3).tail.syllables == period.syllables * 3
+
+
 def test_witness_sign_choice_avoids_cancellation():
     # lambda(e_a) = 1 but sigma table makes lambda_b(e_b) = -1: epsilon must flip
     data = {

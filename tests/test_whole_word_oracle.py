@@ -1,29 +1,45 @@
-"""The junction walk against whole-word reference loops.
+"""The junction walk and the one-period witnesses against whole-word loops.
 
 ``group_defect_estimate``, ``check_cocycle_diag`` and ``bounded_2cocycle_check``
 read every difference off the junction where two reduced words meet.  The
 loops here re-sum whole words instead (``concat_words`` + ``rolli_qm`` on the
 group side, ``rack_op`` + ``rack_qm`` on the rack side), draw the same pairs
 in the same order, and must give equal results in every field.
+
+``independence_certificate`` and ``witness_growth_table`` evaluate each
+periodic witness ``(x, period^n)`` on one period; here ``rack_qm`` sums the
+whole n-fold tail, reduced from scratch, instead.
 """
 
 from fractions import Fraction
 
 import pytest
 
+import rackqm.certify as certify_mod
 import rackqm.quasimorphism as qm_mod
+from rackqm.certify import independence_certificate
 from rackqm.cochain import Bounded2CocycleReport, bounded_2cocycle_check, check_cocycle_diag
-from rackqm.free_product import concat_words, free_quandle, free_rack, rack_op, trivial_product
+from rackqm.free_product import (
+    concat_words,
+    free_quandle,
+    free_rack,
+    rack_op,
+    reduce_element,
+    trivial_product,
+)
 from rackqm.quasimorphism import (
     DefectEstimate,
     LambdaFamily,
     Sigma,
     TableComponent,
+    UnboundednessWitness,
+    find_unboundedness_witness,
     group_defect_estimate,
     iota_family,
     rack_qm,
     rolli_qm,
     sign_family,
+    witness_growth_table,
     zero_family,
 )
 from rackqm.sampling import (
@@ -174,3 +190,86 @@ def test_negative_exhaustive_budget_is_rejected():
         enumerate_syllable_words(PARENTS["FR"], -1, 2)
     with pytest.raises(ValueError, match="--exhaustive"):
         group_defect_estimate(sign_family(PARENTS["FR"]), CONFIG, -1)
+
+
+# -- one period against the n-fold tail ------------------------------------------
+
+CERTIFIED = {name: PARENTS[name] for name in ("FR", "FQ", "T2*T3")}
+
+
+def growth_families(parent):
+    a0 = parent.model("a").generator_names[0]
+    b0 = parent.model("b").generator_names[0]
+    # lambda(e_a) = 1 against lambda(e_b) = -1/2, so the witness takes e_b^-1
+    opposed = LambdaFamily(parent, (
+        TableComponent("a", ((AbelianWord(((a0, 1),)), Fraction(1)),), Fraction(1)),
+        TableComponent("b", ((AbelianWord(((b0, 1),)), Fraction(-1, 2)),), Fraction(1, 2)),
+    ))
+    named = families(parent)
+    return {
+        "sign": named["sign"],
+        "iota(+3)": named["iota(+-3)"],
+        "iota(-3)": iota_family(parent, "a", 0, Sigma.indicator(3, -1)),
+        "table": named["table"],
+        "epsilon -1": opposed,
+    }
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+@pytest.mark.parametrize("n", [1, 7])
+def test_certificate_matrix_matches_whole_tails(name, n):
+    parent = CERTIFIED[name]
+    for rank in range(1, 5):
+        cert = independence_certificate(parent, rank, n)
+        base_factor, base_key = cert.witness_base
+        witnesses = [
+            reduce_element(parent, base_factor, base_key, period.syllables * n)
+            for period in cert.periods
+        ]
+        assert all(len(w.tail) == 2 * n for w in witnesses)
+        assert cert.matrix == tuple(
+            tuple(rack_qm(fam, w) / n for w in witnesses) for fam in cert.families
+        )
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_growth_table_matches_whole_tails(name):
+    parent = CERTIFIED[name]
+    ns = [0, 1, 2, 7, 50, 64]
+    for label, family in growth_families(parent).items():
+        witness = find_unboundedness_witness(family)
+        assert (witness.epsilon == -1) == (label == "epsilon -1")
+        period = witness.period().syllables
+        expected = {}
+        for n in ns:
+            element = witness.element(n)
+            assert element == reduce_element(
+                parent, witness.base_factor, witness.base_key, period * n
+            )
+            expected[n] = rack_qm(family, element)
+        assert witness_growth_table(family, witness, ns) == expected, label
+
+
+def test_periodic_witnesses_never_build_tails(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("whole-tail path called")
+
+    def one_period(rolli_qm):
+        def checked(family, word):
+            assert len(word) == 2, "rolli_qm summed more than one period"
+            return rolli_qm(family, word)
+
+        return checked
+
+    monkeypatch.setattr(qm_mod, "rack_qm", refuse)
+    monkeypatch.setattr(certify_mod, "rack_qm", refuse, raising=False)
+    monkeypatch.setattr(certify_mod, "FreeProductElement", refuse)
+    monkeypatch.setattr(UnboundednessWitness, "element", refuse)
+    monkeypatch.setattr(qm_mod, "rolli_qm", one_period(qm_mod.rolli_qm))
+    monkeypatch.setattr(certify_mod, "rolli_qm", one_period(certify_mod.rolli_qm))
+    for parent in CERTIFIED.values():
+        cert = independence_certificate(parent, 4, 10**9)
+        assert cert.verdict == 4
+        family = sign_family(parent)
+        witness = find_unboundedness_witness(family)
+        assert witness_growth_table(family, witness, [10**9]) == {10**9: 2 * 10**9}
