@@ -115,21 +115,24 @@ def _delta_rows(
     """Sparse rows of d^degree (degree >= 0) on the tuples ``keep`` selects.
 
     Rows and columns are the kept (degree+1)- and degree-tuples in index
-    order; a term at a tuple that is not kept is dropped.
+    order; a term at a tuple that is not kept is dropped.  A face whose
+    acted tuple equals the dropped one cancels and is skipped.
     """
-    n = rack.size
-    position = {
+    n, table = rack.size, rack.table
+    where = {
         xs: j for j, xs in enumerate(filter(keep, product(range(n), repeat=degree)))
-    }
+    }.get
     out = []
     for xs in filter(keep, product(range(n), repeat=degree + 1)):
         row: dict[int, int] = {}
-        for i in range(1, degree + 2):
-            sign = -1 if i % 2 else 1
-            dropped = xs[: i - 1] + xs[i:]
-            acted = tuple(rack.op(x, xs[i - 1]) for x in xs[: i - 1]) + xs[i:]
-            for ys, term in ((dropped, sign), (acted, -sign)):
-                j = position.get(ys)
+        for i in range(degree + 1):
+            sign = 1 if i % 2 else -1  # (-1)^(i+1) for the face dropping x_(i+1)
+            head, y, tail = xs[:i], xs[i], xs[i + 1 :]
+            acted_head = tuple([table[x][y] for x in head])
+            if acted_head == head:
+                continue
+            for ys, term in ((head + tail, sign), (acted_head + tail, -sign)):
+                j = where(ys)
                 if j is not None:
                     row[j] = row.get(j, 0) + term
         out.append({j: v for j, v in row.items() if v})
@@ -279,7 +282,10 @@ def bounded_2cocycle_check(
 
 def coboundary_products_vanish(rack: FiniteRack, up_to_degree: int = 2) -> bool:
     """``d^(n+1) . d^n = 0`` as exact integer matrix products, n <= up_to_degree."""
+    below = coboundary(rack, 0)
     for n in range(up_to_degree + 1):
-        if any(sparse_matmul(coboundary(rack, n + 1).entries, coboundary(rack, n).entries)):
+        above = coboundary(rack, n + 1)
+        if any(sparse_matmul(above.entries, below.entries)):
             return False
+        below = above
     return True

@@ -1,43 +1,65 @@
-"""Exact rational linear algebra on sparse rows.
+"""Exact linear algebra over the rationals on sparse rows.
 
 A matrix is a sequence of rows ``{column position: nonzero coefficient}``;
 the column count is known to the caller and never stored.  No floating point
-anywhere; entries are Python ints or Fractions.
+anywhere; entries are Python ints or Fractions.  Ranks come from
+fraction-free elimination: every row is scaled to an integer row and every
+pivot is kept primitive (coprime entries).  Scaling a row by a nonzero
+rational leaves its span over the rationals unchanged, so ranks are exact
+and no Fraction is built in the inner loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 __all__ = ["exact_rank", "sparse_matmul"]
 
 
 def exact_rank(rows: Sequence[Mapping[int, int | Fraction]]) -> int:
-    """Rank over the rationals by elimination on sparse rows.
+    """Rank over the rationals by fraction-free elimination on sparse rows.
 
-    Each row is reduced against the pivots met so far, keyed by their leading
-    (smallest) column and scaled to lead with 1; a row that does not reduce
-    to zero becomes the pivot of its leading column.  Zero entries in the
+    Each row is scaled once by the lcm of its denominators to an integer row,
+    then reduced against the pivots met so far, keyed by their leading
+    (smallest) column: with ``a, b`` the pivot's and the row's leading
+    entries divided by their gcd, ``row := a*row - b*pivot``, and a row
+    scaled by ``a != 1`` is divided by its content (the gcd of its entries).
+    A step with ``a == 1`` only subtracts, so its content check is left to
+    the end: a row that does not reduce to zero becomes, primitive and with
+    a positive lead, the pivot of its leading column.  Zero entries in the
     input are ignored and the input rows are not modified.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for given in rows:
-        row = {j: v for j, v in given.items() if v}
+        m = lcm(*[v.denominator for v in given.values()])
+        row = {j: v.numerator * (m // v.denominator) for j, v in given.items() if v}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                scale = row[lead]
-                pivots[lead] = {j: Fraction(v, scale) for j, v in row.items()}
+                c = gcd(*row.values())
+                if row[lead] < 0:
+                    c = -c
+                if c != 1:
+                    row = {j: v // c for j, v in row.items()}
+                pivots[lead] = row
                 break
-            factor = row[lead]
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            if a != 1:
+                row = {j: a * v for j, v in row.items()}
             for j, v in pivot.items():
-                w = row.get(j, 0) - factor * v
+                w = row.get(j, 0) - b * v
                 if w:
                     row[j] = w
                 else:
                     del row[j]
+            if a != 1 and row:
+                c = gcd(*row.values())
+                if c != 1:
+                    row = {j: v // c for j, v in row.items()}
     return len(pivots)
 
 

@@ -296,6 +296,16 @@ def test_qm_numeric_flags_never_leak_a_traceback(sign_family_file, value):
         assert "Traceback" not in result.stderr, (args, result.stderr)
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "21"])
+def test_rack_cohomology_degree_never_leaks_a_traceback(rack_file, value):
+    # 21 puts |X|^(degree+2) over the cochain cap, which exits 2
+    for extra in ((), ("--quandle",), ("--dump-matrix",), ("--quandle", "--dump-matrix")):
+        args = ("rack", "cohomology", rack_file, "--degree", value, *extra)
+        result = run_cli(*args)
+        assert result.returncode in (0, 1, 2), (args, result.stderr)
+        assert "Traceback" not in result.stderr, (args, result.stderr)
+
+
 def test_qm_witness(sign_family_file, capsys):
     assert main(["qm", "witness", sign_family_file, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
