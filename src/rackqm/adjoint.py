@@ -12,8 +12,10 @@ models used by free products:
   has carrier Z (iterates of the generator under ``<|``), adjoint group Z,
   and the generator acts by shifting.  Free racks are free products of these.
 
-Both models speak :class:`~rackqm.words.AbelianWord` values, so a factor
-value always has a canonical normal form.
+Both groups are free abelian, so a factor value is a dense exponent vector:
+a tuple of ``rank`` ints, entry i the exponent of ``generator_names[i]``.
+Equal values are equal tuples and the identity is the zero vector; names
+are used only where text is parsed or rendered (:mod:`rackqm.free_product`).
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from itertools import product
 from typing import Iterator
 
 from .racks import FiniteRack, components, is_generating
-from .words import AbelianWord, GroupWord
+from .words import GroupWord
 
 __all__ = [
+    "Value",
     "AdjointPresentation",
     "TrivialRackModel",
     "FreeRackFactorModel",
@@ -34,7 +37,10 @@ __all__ = [
     "trivial_rack_model",
     "express_generator",
     "verify_expression",
+    "scale",
 ]
+
+Value = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -72,33 +78,35 @@ class TrivialRackModel:
     """Free abelian model for the adjoint group of a trivial rack.
 
     ``generator_names[i]`` is the symbol for ``e_{x_i}``; the action is
-    trivial because ``x <| y = x``.  Tag: ``free-abelian``.
+    trivial because ``x <| y = x``.
     """
 
     factor: str
     generator_names: tuple[str, ...]
 
-    tag = "free-abelian"
     is_quandle = True  # trivial racks satisfy x <| x = x
 
     @property
     def rank(self) -> int:
         return len(self.generator_names)
 
-    def identity(self) -> AbelianWord:
-        return AbelianWord()
+    def identity(self) -> Value:
+        return (0,) * self.rank
 
-    def multiply(self, u: AbelianWord, v: AbelianWord) -> AbelianWord:
-        return u * v
+    def multiply(self, u: Value, v: Value) -> Value:
+        return tuple([a + b for a, b in zip(u, v)])
 
-    def contains_value(self, u: AbelianWord) -> bool:
-        names = set(self.generator_names)
-        return all(n in names for n in u.generators())
+    def contains_value(self, u: Value) -> bool:
+        return (
+            isinstance(u, tuple)
+            and len(u) == self.rank
+            and all(isinstance(e, int) for e in u)
+        )
 
-    def embed(self, key: int) -> AbelianWord:
-        return AbelianWord(((self.generator_names[key], 1),))
+    def embed(self, key: int) -> Value:
+        return tuple([int(i == key) for i in range(self.rank)])
 
-    def act(self, key: int, value: AbelianWord) -> int:
+    def act(self, key: int, value: Value) -> int:
         return key
 
     def validate_key(self, key: int) -> int:
@@ -109,24 +117,20 @@ class TrivialRackModel:
     def sample_key(self, rng: random.Random, bound: int) -> int:
         return rng.randrange(self.rank)
 
-    def sample_value(self, rng: random.Random, max_exponent: int) -> AbelianWord:
+    def sample_value(self, rng: random.Random, max_exponent: int) -> Value:
         """A uniformly random nonzero value with exponents in [-max, max]."""
         _check_max_exponent(max_exponent)
         while True:
-            exps = tuple(
-                (name, rng.randint(-max_exponent, max_exponent))
-                for name in self.generator_names
-            )
-            value = AbelianWord(exps)
-            if not value.is_identity:
+            value = tuple([rng.randint(-max_exponent, max_exponent) for _ in range(self.rank)])
+            if any(value):
                 return value
 
-    def enumerate_values(self, max_exponent: int) -> Iterator[AbelianWord]:
+    def enumerate_values(self, max_exponent: int) -> Iterator[Value]:
         """All nonzero values with exponents in [-max, max] (small ranks only)."""
         span = range(-max_exponent, max_exponent + 1)
         for combo in product(span, repeat=self.rank):
             if any(combo):
-                yield AbelianWord(tuple(zip(self.generator_names, combo)))
+                yield combo
 
 
 @dataclass(frozen=True)
@@ -135,13 +139,12 @@ class FreeRackFactorModel:
 
     Carrier keys are integers (the orbit of the generator under ``<|``),
     the single adjoint generator acts by shifting, and every carrier element
-    maps to that same generator.  Tag: ``free-group``.
+    maps to that same generator.
     """
 
     factor: str
     generator: str
 
-    tag = "free-group"
     is_quandle = False  # x <| x shifts, so no idempotence
 
     @property
@@ -152,20 +155,20 @@ class FreeRackFactorModel:
     def rank(self) -> int:
         return 1
 
-    def identity(self) -> AbelianWord:
-        return AbelianWord()
+    def identity(self) -> Value:
+        return (0,)
 
-    def multiply(self, u: AbelianWord, v: AbelianWord) -> AbelianWord:
-        return u * v
+    def multiply(self, u: Value, v: Value) -> Value:
+        return (u[0] + v[0],)
 
-    def contains_value(self, u: AbelianWord) -> bool:
-        return all(n == self.generator for n in u.generators())
+    def contains_value(self, u: Value) -> bool:
+        return isinstance(u, tuple) and len(u) == 1 and isinstance(u[0], int)
 
-    def embed(self, key: int) -> AbelianWord:
-        return AbelianWord(((self.generator, 1),))
+    def embed(self, key: int) -> Value:
+        return (1,)
 
-    def act(self, key: int, value: AbelianWord) -> int:
-        return key + value.total_degree()
+    def act(self, key: int, value: Value) -> int:
+        return key + value[0]
 
     def validate_key(self, key: int) -> int:
         return key
@@ -173,15 +176,19 @@ class FreeRackFactorModel:
     def sample_key(self, rng: random.Random, bound: int) -> int:
         return rng.randint(-bound, bound)
 
-    def sample_value(self, rng: random.Random, max_exponent: int) -> AbelianWord:
+    def sample_value(self, rng: random.Random, max_exponent: int) -> Value:
         _check_max_exponent(max_exponent)
-        exp = rng.randint(1, max_exponent) * rng.choice((1, -1))
-        return AbelianWord(((self.generator, exp),))
+        return (rng.randint(1, max_exponent) * rng.choice((1, -1)),)
 
-    def enumerate_values(self, max_exponent: int) -> Iterator[AbelianWord]:
+    def enumerate_values(self, max_exponent: int) -> Iterator[Value]:
         for exp in range(-max_exponent, max_exponent + 1):
             if exp:
-                yield AbelianWord(((self.generator, exp),))
+                yield (exp,)
+
+
+def scale(value: Value, k: int) -> Value:
+    """``value ** k``: every exponent times k (k = -1 gives the inverse)."""
+    return tuple([k * e for e in value])
 
 
 def _check_max_exponent(max_exponent: int) -> None:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 # FreeProductElement is not called here; the benchmark's tracer patches it on this module
+from .adjoint import scale
 from .free_product import FreeProductElement, FreeProductRack, SyllableWord
 from .linalg import exact_rank
 from .quasimorphism import (
@@ -54,6 +55,7 @@ class IndependenceCertificate:
     verdict: int
 
     def to_dict(self) -> dict:
+        parent = self.families[0].parent  # every family has the same parent
         return {
             "rank": self.rank,
             "n": self.exponent,
@@ -62,7 +64,7 @@ class IndependenceCertificate:
                 {
                     "j": j,
                     "base": f"{self.witness_base[0]}.{self.witness_base[1]}",
-                    "period": period.render(),
+                    "period": period.render(parent),
                     "power": self.exponent,
                 }
                 for j, period in enumerate(self.periods, 1)
@@ -100,7 +102,7 @@ def independence_certificate(
         iota_family(parent, s0, x0, Sigma.indicator(k)) for k in range(1, rank + 1)
     )
     periods = tuple(
-        SyllableWord(((s0, e_x0**j), (t, e_x))) for j in range(1, rank + 1)
+        SyllableWord(((s0, scale(e_x0, j)), (t, e_x))) for j in range(1, rank + 1)
     )
     matrix = tuple(tuple(rolli_qm(fam, period) for period in periods) for fam in families)
     verdict = exact_rank([dict(enumerate(row)) for row in matrix])
@@ -142,7 +144,7 @@ def boundedness_refutation(
         # a trivial rack of size m has m orbits; a one-generator free rack has
         # one; either way the factor's rank
         component_count=sum(f.rank for f in family.parent.factors),
-        witness_text=witness.period().render(),
+        witness_text=witness.period().render(family.parent),
         slope=witness.slope,
         table=table,
     )

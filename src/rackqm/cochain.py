@@ -202,7 +202,7 @@ def cohomology_dims(
     """
     if max_degree < 0:
         return []
-    _check_cap(rack, max_degree + 1, cap)
+    _check_cap(rack, max_degree, cap)
     dims = [1]
     rank_below = 0  # rank of d^(k-1)
     for k in range(1, max_degree + 1):

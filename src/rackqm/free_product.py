@@ -26,6 +26,9 @@ the same machinery.
 
 The rack operation is ``(x, g) <| (y, h) = (x, g h^-1 e_y h)``, with the sign
 of ``e_y`` flipped for the inverse operation.
+
+A syllable value is its factor model's exponent vector; generator names
+appear only in :func:`parse_element` and :func:`render_value`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .adjoint import FreeRackFactorModel, TrivialRackModel, trivial_rack_model
+from .adjoint import FreeRackFactorModel, TrivialRackModel, Value, scale, trivial_rack_model
 from .words import AbelianWord, GroupWord, WordParseError, parse_word
 
 __all__ = [
@@ -51,6 +54,7 @@ __all__ = [
     "conjugate_form",
     "parse_element",
     "render_element",
+    "render_value",
 ]
 
 FactorModel = TrivialRackModel | FreeRackFactorModel
@@ -88,12 +92,6 @@ class FreeProductRack:
     def factor_names(self) -> tuple[str, ...]:
         return tuple(f.factor for f in self.factors)
 
-    def generator_alphabet(self) -> set[str]:
-        names: set[str] = set()
-        for f in self.factors:
-            names.update(f.generator_names)
-        return names
-
 
 def free_rack(names: Sequence[str]) -> FreeProductRack:
     """The free rack on the given letters, as a free product of one-generator
@@ -122,7 +120,7 @@ class SyllableWord:
     """A factorization in the free product of the factor groups: alternating
     ``(factor, value)`` syllables with no identity values."""
 
-    syllables: tuple[tuple[str, AbelianWord], ...] = ()
+    syllables: tuple[tuple[str, Value], ...] = ()
 
     @property
     def is_identity(self) -> bool:
@@ -134,39 +132,46 @@ class SyllableWord:
     def __iter__(self):
         return iter(self.syllables)
 
-    def render(self) -> str:
-        return " ".join(v.render() for _, v in self.syllables if not v.is_identity)
+    def render(self, parent: FreeProductRack) -> str:
+        return " ".join(
+            render_value(parent.model(name), v) for name, v in self.syllables if any(v)
+        )
 
 
-def factorize(
-    parent: FreeProductRack, items: Iterable[tuple[str, AbelianWord]]
-) -> SyllableWord:
+def render_value(model: FactorModel, value: Value) -> str:
+    """A factor value in the word grammar, tokens sorted by generator name
+    (so ``a.10`` comes before ``a.2``); the empty string for the identity."""
+    return AbelianWord(tuple(zip(model.generator_names, value))).render()
+
+
+def factorize(parent: FreeProductRack, items: Iterable[tuple[str, Value]]) -> SyllableWord:
     """Canonical factorization: merge adjacent same-factor values in the factor
-    group, drop identities, and cascade until alternating."""
-    stack: list[tuple[str, AbelianWord]] = []
+    group, drop identities, and cascade until alternating.  A value that is
+    not a tuple of the factor's rank ints raises ``ValueError``."""
+    stack: list[tuple[str, Value]] = []
     for name, value in items:
         model = parent.model(name)
         if not model.contains_value(value):
-            raise ValueError(f"value {value.render()!r} is not in factor {name!r}")
-        if value.is_identity:
+            raise ValueError(f"value {value!r} is not in factor {name!r}")
+        if not any(value):
             continue
         while stack and stack[-1][0] == name:
             value = model.multiply(stack.pop()[1], value)
-            if value.is_identity:
+            if not any(value):
                 break
-        if not value.is_identity:
+        if any(value):
             stack.append((name, value))
     return SyllableWord(tuple(stack))
 
 
 def invert_word(word: SyllableWord) -> SyllableWord:
     return SyllableWord(
-        tuple((name, value.inverse()) for name, value in reversed(word.syllables))
+        tuple((name, scale(value, -1)) for name, value in reversed(word.syllables))
     )
 
 
 def concat_words(parent: FreeProductRack, *words: SyllableWord) -> SyllableWord:
-    items: list[tuple[str, AbelianWord]] = []
+    items: list[tuple[str, Value]] = []
     for w in words:
         items.extend(w.syllables)
     return factorize(parent, items)
@@ -193,7 +198,7 @@ def reduce_element(
     parent: FreeProductRack,
     factor: str,
     key: int,
-    items: Iterable[tuple[str, AbelianWord]] = (),
+    items: Iterable[tuple[str, Value]] = (),
 ) -> FreeProductElement:
     """Reduce ``(x, g)``: while the leading syllable is in the base factor,
     absorb it into the base through the factor action."""
@@ -219,7 +224,7 @@ def rack_op(
     parent = p.parent
     e_y = parent.model(q.base_factor).embed(q.base_key)
     if sign < 0:
-        e_y = e_y.inverse()
+        e_y = scale(e_y, -1)
     items = (
         list(p.tail.syllables)
         + list(invert_word(q.tail).syllables)
@@ -246,9 +251,7 @@ def conjugate_form(p: FreeProductElement) -> GroupWord:
     parent = p.parent
     if not (parent.quandle and all(f.rank == 1 for f in parent.factors)):
         raise ValueError("conjugate form is defined for free quandles only")
-    tail_letters = tuple(
-        (name, value.total_degree()) for name, value in p.tail.syllables
-    )
+    tail_letters = tuple((name, value[0]) for name, value in p.tail.syllables)
     inverse = tuple((n, -e) for n, e in reversed(tail_letters))
     return GroupWord(inverse + ((p.base_factor, 1),) + tail_letters)
 
@@ -262,6 +265,16 @@ def conjugate_form(p: FreeProductElement) -> GroupWord:
 
 
 def parse_element(parent: FreeProductRack, text: str) -> FreeProductElement:
+    """Read ``base_factor.element | word``; each generator power in the word
+    becomes one ``(factor, vector)`` syllable, and the result is reduced.
+
+    >>> T = trivial_product({"a": 2, "b": 3})
+    >>> p = parse_element(T, "b.0 | a.1^2 a.0 b.2^-1")
+    >>> p.tail.syllables
+    (('a', (1, 2)), ('b', (0, 0, -1)))
+    >>> render_element(p)
+    'b.0 | a.0 a.1^2 b.2^-1'
+    """
     head, sep, tail_text = text.partition("|")
     base = head.strip()
     match = _BASE.match(base)
@@ -273,16 +286,16 @@ def parse_element(parent: FreeProductRack, text: str) -> FreeProductElement:
     except KeyError:
         raise WordParseError(f"unknown factor {factor!r}", 0)
     key = int(match.group("key"))
-    word = parse_word(tail_text.strip(), parent.generator_alphabet())
-
-    # group consecutive letters by owning factor, then factorize
-    owner: dict[str, str] = {}
+    # letter ``name^exp`` is exp times ``embed(i)``, name the i-th generator of f
+    owner: dict[str, tuple[FactorModel, int]] = {}
     for f in parent.factors:
-        for g in f.generator_names:
-            owner[g] = f.factor
-    items = [
-        (owner[name], AbelianWord(((name, exp),))) for name, exp in word.syllables
-    ]
+        for i, g in enumerate(f.generator_names):
+            owner[g] = (f, i)
+    word = parse_word(tail_text.strip(), set(owner))
+    items = []
+    for name, exp in word.syllables:
+        f, i = owner[name]
+        items.append((f.factor, scale(f.embed(i), exp)))
     return reduce_element(parent, factor, model.validate_key(key), items)
 
 
@@ -301,6 +314,6 @@ def render_element(p: FreeProductElement) -> str:
             lead = gen if p.base_key == 1 else f"{gen}^{p.base_key}"
     else:
         base = f"{p.base_factor}.{p.base_key}"
-    tail = p.tail.render()
+    tail = p.tail.render(p.parent)
     word = " ".join(part for part in (lead, tail) if part)
     return f"{base} | {word}".rstrip() if word else f"{base} |"

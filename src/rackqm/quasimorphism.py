@@ -24,12 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .adjoint import Value, scale
 from .free_product import (
     FreeProductElement,
     FreeProductRack,
     SyllableWord,
     concat_words,  # concat_words and rack_op are not called here; the
     rack_op,  # benchmark's tracer patches them on this module
+    render_value,
 )
 from .racks import GroupTable
 from .sampling import (
@@ -39,7 +41,7 @@ from .sampling import (
     sample_element,
     sample_syllable_word,
 )
-from .words import AbelianWord, GroupWord
+from .words import GroupWord, parse_abelian
 
 __all__ = [
     "QmError",
@@ -159,36 +161,37 @@ class SignComponent:
 
     bound = Fraction(1)
 
-    def value(self, word: AbelianWord) -> Fraction:
-        d = word.total_degree()
+    def value(self, word: Value) -> Fraction:
+        d = sum(word)
         return Fraction(0) if d == 0 else Fraction(1 if d > 0 else -1)
 
-    def probes(self, model) -> Iterator[AbelianWord]:
+    def probes(self, model) -> Iterator[Value]:
         yield model.embed(0)
 
 
 @dataclass(frozen=True)
 class IotaComponent:
-    """Nonzero only on pure powers of one distinguished generator, where it
-    evaluates an odd sigma; zero everywhere else in the factor."""
+    """Nonzero only on pure powers of one distinguished generator, the
+    ``index``-th of its factor, where it evaluates an odd sigma; zero
+    everywhere else in the factor."""
 
     factor: str
-    generator: str
+    index: int
     sigma: Sigma
 
     @property
     def bound(self) -> Fraction:
         return self.sigma.bound
 
-    def value(self, word: AbelianWord) -> Fraction:
-        power = word.single_power()
-        if power is None or power[0] != self.generator:
+    def value(self, word: Value) -> Fraction:
+        # a pure power of another generator leaves word[index] = 0
+        if word.count(0) != len(word) - 1:
             return Fraction(0)
-        return self.sigma.value(power[1])
+        return self.sigma.value(word[self.index])
 
-    def probes(self, model) -> Iterator[AbelianWord]:
+    def probes(self, model) -> Iterator[Value]:
         for k in self.sigma.support_points():
-            yield AbelianWord(((self.generator, k),))
+            yield scale(model.embed(self.index), k)
 
 
 @dataclass(frozen=True)
@@ -197,33 +200,33 @@ class TableComponent:
     stored, so oddness holds by construction."""
 
     factor: str
-    entries: tuple[tuple[AbelianWord, Fraction], ...]
+    entries: tuple[tuple[Value, Fraction], ...]
     bound: Fraction
 
     def __post_init__(self) -> None:
-        table: dict[AbelianWord, Fraction] = {}
+        table: dict[Value, Fraction] = {}
         for word, value in self.entries:
             value = Fraction(value)
-            if word.is_identity:
+            if not any(word):
                 raise QmError("lambda tables may not assign the identity")
-            if word in table or word.inverse() in table:
-                raise QmError(f"conflicting table entry for {word.render()!r}")
+            if word in table or scale(word, -1) in table:
+                raise QmError(f"conflicting table entry {word!r} in factor {self.factor!r}")
             if abs(value) > self.bound:
                 raise QmError("table value exceeds the declared bound")
             table[word] = value
         object.__setattr__(self, "entries", tuple(table.items()))
         object.__setattr__(self, "_table", table)
 
-    def value(self, word: AbelianWord) -> Fraction:
+    def value(self, word: Value) -> Fraction:
         table = self._table  # type: ignore[attr-defined]
         if word in table:
             return table[word]
-        inv = word.inverse()
+        inv = scale(word, -1)
         if inv in table:
             return -table[inv]
         return Fraction(0)
 
-    def probes(self, model) -> Iterator[AbelianWord]:
+    def probes(self, model) -> Iterator[Value]:
         for word, value in self.entries:
             if value:
                 yield word
@@ -235,10 +238,10 @@ class ZeroComponent:
 
     bound = Fraction(0)
 
-    def value(self, word: AbelianWord) -> Fraction:
+    def value(self, word: Value) -> Fraction:
         return Fraction(0)
 
-    def probes(self, model) -> Iterator[AbelianWord]:
+    def probes(self, model) -> Iterator[Value]:
         return iter(())
 
 
@@ -273,10 +276,10 @@ class LambdaFamily:
         except KeyError:
             raise QmError(f"no lambda component for factor {factor!r}")
 
-    def value(self, factor: str, word: AbelianWord) -> Fraction:
+    def value(self, factor: str, word: Value) -> Fraction:
         return self.component(factor).value(word)
 
-    def probes(self) -> Iterator[tuple[str, AbelianWord]]:
+    def probes(self) -> Iterator[tuple[str, Value]]:
         for comp in self.components:
             model = self.parent.model(comp.factor)
             for word in comp.probes(model):
@@ -293,8 +296,8 @@ def iota_family(
     """The one-factor family supported on powers of ``e_{x0}`` for a chosen
     base element x0 of the distinguished factor; all other factors get 0."""
     model = parent.model(factor)
-    generator = model.embed(model.validate_key(element)).single_power()[0]
-    return LambdaFamily(parent, (IotaComponent(factor, generator, sigma),))
+    index = model.embed(model.validate_key(element)).index(1)
+    return LambdaFamily(parent, (IotaComponent(factor, index, sigma),))
 
 
 def zero_family(parent: FreeProductRack) -> LambdaFamily:
@@ -316,8 +319,8 @@ def rack_qm(family: LambdaFamily, element: FreeProductElement) -> Fraction:
 
 def _junction(
     family: LambdaFamily,
-    head: Sequence[tuple[str, AbelianWord]],
-    at: Callable[[int], tuple[str, AbelianWord]],
+    head: Sequence[tuple[str, Value]],
+    at: Callable[[int], tuple[str, Value]],
     length: int,
 ) -> tuple[Fraction | None, int, int]:
     """``(phi(g) + phi(h) - phi(gh), i, k)`` for alternating g = ``head`` and
@@ -334,7 +337,7 @@ def _junction(
         if name != last_name:
             break
         merged = models(name).multiply(a, b)
-        if not merged.is_identity:
+        if any(merged):
             return value(name, a) + value(name, b) - value(name, merged), i, k
         i -= 1
         k += 1
@@ -362,11 +365,11 @@ def rack_qm_increment(
     tail = q.tail.syllables
     n = len(tail)
 
-    def conjugate(k: int) -> tuple[str, AbelianWord]:
+    def conjugate(k: int) -> tuple[str, Value]:
         # the k-th syllable of h^-1 e_y h, which has 2n + 1 of them
         if k < n:
             name, value = tail[n - 1 - k]
-            return name, value.inverse()
+            return name, scale(value, -1)
         if k == n:
             return q.base_factor, e_y
         return tail[k - n - 1]
@@ -418,7 +421,7 @@ def group_defect_estimate(
         merge = _junction(family, g.syllables, h.syllables.__getitem__, len(h))[0]
         if merge is not None and abs(merge) > best:
             best = abs(merge)
-            witness = (g.render(), h.render())
+            witness = (g.render(parent), h.render(parent))
 
     if exhaustive_syllables is not None:
         exponent = config.max_exponent if exhaustive_exponent is None else exhaustive_exponent
@@ -467,7 +470,7 @@ class UnboundednessWitness:
 
     parent: FreeProductRack
     probe_factor: str
-    probe_value: AbelianWord
+    probe_value: Value
     base_factor: str
     base_key: int
     epsilon: int
@@ -480,7 +483,7 @@ class UnboundednessWitness:
     def period(self) -> SyllableWord:
         e_x = self.parent.model(self.base_factor).embed(self.base_key)
         if self.epsilon < 0:
-            e_x = e_x.inverse()
+            e_x = scale(e_x, -1)
         return SyllableWord(((self.probe_factor, self.probe_value), (self.base_factor, e_x)))
 
     def element(self, n: int) -> FreeProductElement:
@@ -637,11 +640,10 @@ def tail_group_word(p: FreeProductElement) -> GroupWord:
     the form homogeneous quasimorphisms of the adjoint group consume."""
     if any(f.rank != 1 for f in p.parent.factors):
         raise QmError("tail flattening needs rank-1 factors (free rack/quandle)")
-    letters = []
-    for factor, value in p.tail.syllables:
-        name, exp = value.single_power()
-        letters.append((name, exp))
-    return GroupWord(tuple(letters))
+    model = p.parent.model
+    return GroupWord(
+        tuple((model(factor).generator_names[0], value[0]) for factor, value in p.tail.syllables)
+    )
 
 
 def homogeneous_rack_qm(
@@ -698,25 +700,25 @@ def family_from_dict(parent: FreeProductRack, data: Mapping) -> LambdaFamily:
                 )
             else:
                 raise QmError("iota component needs 'indicator' or 'sigma'")
+            model = parent.model(factor)
             if "generator" in entry:
                 generator = entry["generator"]
-                if generator not in parent.model(factor).generator_names:
+                if generator not in model.generator_names:
                     raise QmError(f"generator {generator!r} is not in factor {factor!r}")
+                index = model.generator_names.index(generator)
             else:
-                model = parent.model(factor)
                 key = model.validate_key(int(entry.get("element", 0)))
-                generator = model.embed(key).single_power()[0]
-            components.append(IotaComponent(factor, generator, sigma))
+                index = model.embed(key).index(1)
+            components.append(IotaComponent(factor, index, sigma))
         elif kind == "table":
-            from .words import parse_abelian
-
-            alphabet = set(parent.model(factor).generator_names)
-            entries = tuple(
-                (parse_abelian(word, alphabet), parse_fraction(v))
-                for word, v in entry.get("values", {}).items()
-            )
+            names = parent.model(factor).generator_names
+            entries = []
+            for word, v in entry.get("values", {}).items():
+                exponents = dict(parse_abelian(word, set(names)).exponents)
+                vector = tuple(exponents.get(name, 0) for name in names)
+                entries.append((vector, parse_fraction(v)))
             bound = parse_fraction(entry["bound"])
-            components.append(TableComponent(factor, entries, bound))
+            components.append(TableComponent(factor, tuple(entries), bound))
         elif kind == "zero":
             components.append(ZeroComponent(factor))
         else:
@@ -742,7 +744,7 @@ def family_to_dict(family: LambdaFamily) -> dict:
                 {
                     "factor": comp.factor,
                     "kind": "iota",
-                    "generator": comp.generator,
+                    "generator": family.parent.model(comp.factor).generator_names[comp.index],
                     "sigma": {str(k): format_fraction(v) for k, v in comp.sigma.entries},
                     "tail": format_fraction(comp.sigma.tail),
                 }
@@ -752,7 +754,10 @@ def family_to_dict(family: LambdaFamily) -> dict:
                 {
                     "factor": comp.factor,
                     "kind": "table",
-                    "values": {w.render(): format_fraction(v) for w, v in comp.entries},
+                    "values": {
+                        render_value(family.parent.model(comp.factor), w): format_fraction(v)
+                        for w, v in comp.entries
+                    },
                     "bound": format_fraction(comp.bound),
                 }
             )

@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+from .adjoint import Value
 from .free_product import FreeProductElement, FreeProductRack, SyllableWord
-from .words import AbelianWord
 
 __all__ = [
     "SamplerConfig",
@@ -57,10 +57,12 @@ def sample_syllable_word(
     ``avoid_leading`` keeps the first syllable out of one factor."""
     length = rng.randint(0, max_syllables)
     names = parent.factor_names
-    syllables: list[tuple[str, AbelianWord]] = []
+    # the factors a syllable may take after each previous factor, in order
+    choices = {prev: [n for n in names if n != prev] for prev in (avoid_leading, *names)}
+    syllables: list[tuple[str, Value]] = []
     previous = avoid_leading
     for _ in range(length):
-        name = rng.choice([n for n in names if n != previous])
+        name = rng.choice(choices[previous])
         model = parent.model(name)
         syllables.append((name, model.sample_value(rng, max_exponent)))
         previous = name
@@ -99,7 +101,7 @@ def enumerate_syllable_words(
     }
     names = parent.factor_names
 
-    def extend(prefix: tuple[tuple[str, AbelianWord], ...], last: str | None):
+    def extend(prefix: tuple[tuple[str, Value], ...], last: str | None):
         yield SyllableWord(prefix)
         if len(prefix) == max_syllables:
             return

@@ -1,9 +1,10 @@
 """Reduced words over named generators.
 
 Two normal forms live here: :class:`GroupWord` (free group, syllable list)
-and :class:`AbelianWord` (free abelian group, exponent vector).  Both reduce
-eagerly on construction, so every value the rest of the library touches is
-canonical and equality is plain structural equality.
+and :class:`AbelianWord` (free abelian group, exponents keyed by name).  Both
+reduce eagerly on construction, so equality is plain structural equality.
+An :class:`AbelianWord` carries a factor value, otherwise a dense exponent
+vector (:mod:`rackqm.adjoint`), only to and from text.
 
 The shared text grammar: a word is a sequence of whitespace-separated tokens
 ``name`` or ``name^k`` with ``k`` a signed decimal integer; generator names
@@ -137,42 +138,8 @@ class AbelianWord:
             tuple(sorted((n, e) for n, e in acc.items() if e)),
         )
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.exponents
-
-    def __mul__(self, other: "AbelianWord") -> "AbelianWord":
-        return AbelianWord(self.exponents + other.exponents)
-
-    def inverse(self) -> "AbelianWord":
-        return AbelianWord(tuple((n, -e) for n, e in self.exponents))
-
-    def __pow__(self, n: int) -> "AbelianWord":
-        return AbelianWord(tuple((name, e * n) for name, e in self.exponents))
-
-    def exponent(self, name: str) -> int:
-        for n, e in self.exponents:
-            if n == name:
-                return e
-        return 0
-
-    def total_degree(self) -> int:
-        return sum(e for _, e in self.exponents)
-
-    def single_power(self) -> tuple[str, int] | None:
-        """Return ``(name, k)`` when the value is a pure power of one generator."""
-        if len(self.exponents) == 1:
-            return self.exponents[0]
-        return None
-
-    def generators(self) -> set[str]:
-        return {n for n, _ in self.exponents}
-
     def render(self) -> str:
         return " ".join(n if e == 1 else f"{n}^{e}" for n, e in self.exponents)
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def _tokens_with_positions(text: str) -> Iterator[tuple[str, int]]:

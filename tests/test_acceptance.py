@@ -35,7 +35,6 @@ from rackqm.quasimorphism import (
 )
 from rackqm.racks import builtin_racks, components, cyclic_group, trivial_rack
 from rackqm.sampling import SamplerConfig, make_rng, sample_element, sample_syllable_word
-from rackqm.words import AbelianWord
 from rackqm.quasimorphism import v0_dim
 
 FR = free_rack(["a", "b"])
@@ -169,7 +168,7 @@ def builtin_lambda_families(parent):
     }
     table = TableComponent(
         "b",
-        ((AbelianWord((("b.0", 2),)), Fraction(1, 2)),),
+        (((2,), Fraction(1, 2)),),
         Fraction(1, 2),
     )
     families["table"] = LambdaFamily(parent, (table,))

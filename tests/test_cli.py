@@ -298,7 +298,7 @@ def test_qm_numeric_flags_never_leak_a_traceback(sign_family_file, value):
 
 @pytest.mark.parametrize("value", ["-1", "0", "21"])
 def test_rack_cohomology_degree_never_leaks_a_traceback(rack_file, value):
-    # 21 puts |X|^(degree+2) over the cochain cap, which exits 2
+    # 21 puts |X|^(degree+1) = 3^22 over the cochain cap, which exits 2
     for extra in ((), ("--quandle",), ("--dump-matrix",), ("--quandle", "--dump-matrix")):
         args = ("rack", "cohomology", rack_file, "--degree", value, *extra)
         result = run_cli(*args)

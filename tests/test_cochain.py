@@ -159,6 +159,13 @@ def test_cap_guard():
         coboundary(dihedral_quandle(5), 2, cap=100)
 
 
+def test_cohomology_cap_counts_the_largest_matrix_built():
+    # d^3 on a 2-element rack has 2^4 = 16 rows, the most any step builds
+    assert cohomology_dims(trivial_rack(2), 3, cap=16) == [1, 2, 4, 8]
+    with pytest.raises(CochainCapError):
+        cohomology_dims(trivial_rack(2), 3, cap=15)
+
+
 def test_rank_against_sympy():
     sympy = pytest.importorskip("sympy")
     for rack in (dihedral_quandle(3), dihedral_quandle(4), conjugation_rack(symmetric_group(3))):

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from rackqm.adjoint import scale
+from rackqm.certify import independence_certificate
 from rackqm.free_product import (
     SyllableWord,
+    factorize,
     free_quandle,
     free_rack,
     parse_element,
@@ -38,16 +41,18 @@ from rackqm.quasimorphism import (
     zero_family,
 )
 from rackqm.racks import cyclic_group, symmetric_group
-from rackqm.sampling import SamplerConfig, make_rng, sample_syllable_word, sample_element
+from rackqm.sampling import (
+    SamplerConfig,
+    enumerate_syllable_words,
+    make_rng,
+    sample_element,
+    sample_syllable_word,
+)
 from rackqm.words import AbelianWord, parse_word
 
 FR = free_rack(["a", "b"])
 FQ = free_quandle(["a", "b"])
 T23 = trivial_product({"a": 2, "b": 3})
-
-
-def ab(name, exp=1):
-    return AbelianWord(((name, exp),))
 
 
 def syll(*items):
@@ -58,13 +63,13 @@ def syll(*items):
 
 
 def test_rolli_sign_example():
-    g = syll(("a", ab("a.0", 2)), ("b", ab("b.0", -3)), ("a", ab("a.0")))
+    g = syll(("a", (2,)), ("b", (-3,)), ("a", (1,)))
     assert rolli_qm(sign_family(FR), g) == 1  # 1 - 1 + 1
 
 
 def test_rolli_identity_and_zero_family():
     assert rolli_qm(sign_family(FR), syll()) == 0
-    g = syll(("a", ab("a.0", 5)), ("b", ab("b.0")))
+    g = syll(("a", (5,)), ("b", (1,)))
     assert rolli_qm(zero_family(FR), g) == 0
 
 
@@ -73,23 +78,24 @@ def test_rolli_is_odd_seeded():
     fam = sign_family(T23)
     for _ in range(10_000):
         g = sample_syllable_word(T23, rng, 8, 4)
-        inv = SyllableWord(tuple((n, v.inverse()) for n, v in reversed(g.syllables)))
+        inv = SyllableWord(tuple((n, scale(v, -1)) for n, v in reversed(g.syllables)))
         assert rolli_qm(fam, g) == -rolli_qm(fam, inv)
 
 
 def test_sign_family_on_higher_rank_factor_uses_total_degree():
     fam = sign_family(T23)
-    assert fam.value("a", AbelianWord((("a.0", 2), ("a.1", -1)))) == 1
-    assert fam.value("a", AbelianWord((("a.0", 1), ("a.1", -1)))) == 0
+    assert fam.value("a", (2, -1)) == 1
+    assert fam.value("a", (1, -1)) == 0
 
 
 def test_iota_family_support():
     fam = iota_family(T23, "a", 0, Sigma.indicator(3))
-    assert fam.value("a", ab("a.0", 3)) == 1
-    assert fam.value("a", ab("a.0", -3)) == -1
-    assert fam.value("a", ab("a.0", 2)) == 0
-    assert fam.value("a", AbelianWord((("a.0", 3), ("a.1", 1)))) == 0
-    assert fam.value("b", ab("b.0", 3)) == 0
+    assert fam.value("a", (3, 0)) == 1
+    assert fam.value("a", (-3, 0)) == -1
+    assert fam.value("a", (2, 0)) == 0
+    assert fam.value("a", (3, 1)) == 0
+    assert fam.value("a", (0, 3)) == 0  # a pure power of the other generator
+    assert fam.value("b", (3, 0, 0)) == 0
     assert fam.bound == 1
 
 
@@ -104,15 +110,11 @@ def test_sigma_tail_rule():
 
 def test_table_component_oddness_enforced():
     with pytest.raises(QmError):
-        TableComponent(
-            "a",
-            ((ab("a.0", 2), Fraction(1)), (ab("a.0", -2), Fraction(1))),
-            Fraction(1),
-        )
-    comp = TableComponent("a", ((ab("a.0", 2), Fraction(1, 2)),), Fraction(1, 2))
-    assert comp.value(ab("a.0", 2)) == Fraction(1, 2)
-    assert comp.value(ab("a.0", -2)) == Fraction(-1, 2)
-    assert comp.value(ab("a.0", 1)) == 0
+        TableComponent("a", (((2,), Fraction(1)), ((-2,), Fraction(1))), Fraction(1))
+    comp = TableComponent("a", (((2,), Fraction(1, 2)),), Fraction(1, 2))
+    assert comp.value((2,)) == Fraction(1, 2)
+    assert comp.value((-2,)) == Fraction(-1, 2)
+    assert comp.value((1,)) == 0
 
 
 def test_rack_qm_evaluates_tail():
@@ -156,14 +158,8 @@ def test_group_defect_sign_small_budget():
     from rackqm.words import parse_word as pw
 
     def to_word(text):
-        word = pw(text, FR.generator_alphabet())
-        items = [
-            ("a" if n.startswith("a") else "b", AbelianWord(((n, e),)))
-            for n, e in word.syllables
-        ]
-        from rackqm.free_product import factorize
-
-        return factorize(FR, items)
+        word = pw(text)
+        return factorize(FR, [(n[0], (e,)) for n, e in word.syllables])
 
     wg, wh = to_word(g), to_word(h)
     fam = sign_family(FR)
@@ -202,7 +198,7 @@ def _whole_tail_increment(family, p, q):
 def test_rack_qm_increment_matches_whole_tail_path():
     sigma = Sigma(((1, Fraction(1, 2)), (3, Fraction(-2))), Fraction(1, 3))
     table = TableComponent(
-        "b", ((ab("b.0", 1), Fraction(1)), (ab("b.1", -2), Fraction(-1, 2))), Fraction(1)
+        "b", (((1, 0, 0), Fraction(1)), ((0, -2, 0), Fraction(-1, 2))), Fraction(1)
     )
     rng = random.Random(11)
     for parent in (FR, FQ, T23):
@@ -248,6 +244,25 @@ def test_rack_qm_increment_rejects_bad_input():
         rack_qm_increment(sign_family(FR), p, parse_element(FQ, "a.0 |"))
 
 
+def test_values_never_pass_through_abelian_words(monkeypatch):
+    # factor values are exponent vectors; AbelianWord only carries text
+    def refuse(self):
+        raise AssertionError("an AbelianWord was built")
+
+    monkeypatch.setattr(AbelianWord, "__post_init__", refuse)
+    rng = random.Random(43)
+    for parent in (FR, FQ, T23):
+        families = (sign_family(parent), iota_family(parent, "a", 0, Sigma.indicator(2)))
+        for _ in range(200):
+            p = sample_element(parent, rng, 6, 3)
+            q = sample_element(parent, rng, 6, 3)
+            for family in families:
+                rack_qm_increment(family, p, q)
+            factorize(parent, p.tail.syllables + q.tail.syllables)
+        assert len(list(enumerate_syllable_words(parent, 2, 2))) > 1
+        assert independence_certificate(parent, 3, 5).verdict == 3
+
+
 def test_rack_defect_estimate_matches_whole_tail_loop():
     sigma = Sigma(((2, Fraction(3, 2)),), Fraction(1))
     for parent in (FR, FQ, T23):
@@ -281,7 +296,7 @@ def test_witness_iota_indicator():
     fam = iota_family(FR, "a", 0, Sigma.indicator(3))
     witness = find_unboundedness_witness(fam)
     assert witness.slope == 1  # sigma(3) + lambda_b(e_b) = 1 + 0
-    assert witness.probe_value == ab("a.0", 3)
+    assert witness.probe_value == (3,)
 
 
 def test_witness_zero_family_raises():
@@ -481,10 +496,10 @@ def test_component_oddness_and_bounds():
             factor = rng.choice(T23.factor_names)
             value = T23.model(factor).sample_value(rng, 5)
             v = fam.value(factor, value)
-            assert v == -fam.value(factor, value.inverse())
+            assert v == -fam.value(factor, scale(value, -1))
             assert abs(v) <= fam.bound
         for factor in T23.factor_names:
-            assert fam.value(factor, AbelianWord()) == 0
+            assert fam.value(factor, T23.model(factor).identity()) == 0
 
 
 def test_homogeneous_brooks_interval_on_witness_powers():
@@ -542,13 +557,22 @@ def test_v0_dim_matches_constraint_system_rank():
 def test_family_json_round_trip():
     fam = sign_family(FR)
     again = family_from_dict(FR, family_to_dict(fam))
-    g = syll(("a", ab("a.0", 2)), ("b", ab("b.0", -1)))
+    g = syll(("a", (2,)), ("b", (-1,)))
     assert rolli_qm(again, g) == rolli_qm(fam, g)
 
     fam2 = iota_family(T23, "a", 1, Sigma(((2, Fraction(1, 2)),), tail=Fraction(0)))
     again2 = family_from_dict(T23, family_to_dict(fam2))
-    assert again2.value("a", ab("a.1", 2)) == Fraction(1, 2)
-    assert again2.value("a", ab("a.0", 2)) == 0
+    assert again2.value("a", (0, 2)) == Fraction(1, 2)
+    assert again2.value("a", (2, 0)) == 0
+
+    # table words are read through generator names and written back sorted
+    data = {"family": [
+        {"factor": "b", "kind": "table", "values": {"b.2^-1 b.0": "1/2"}, "bound": "1"}
+    ]}
+    fam3 = family_from_dict(T23, data)
+    assert fam3.value("b", (1, 0, -1)) == Fraction(1, 2)
+    assert fam3.value("b", (-1, 0, 1)) == Fraction(-1, 2)
+    assert family_to_dict(fam3)["family"][1]["values"] == {"b.0 b.2^-1": "1/2"}
 
 
 def test_family_json_declared_bound_checked():

@@ -17,6 +17,7 @@ import pytest
 
 import rackqm.certify as certify_mod
 import rackqm.quasimorphism as qm_mod
+from rackqm.adjoint import scale
 from rackqm.certify import independence_certificate
 from rackqm.cochain import Bounded2CocycleReport, bounded_2cocycle_check, check_cocycle_diag
 from rackqm.free_product import (
@@ -49,7 +50,6 @@ from rackqm.sampling import (
     sample_element,
     sample_syllable_word,
 )
-from rackqm.words import AbelianWord
 
 PARENTS = {
     "FR": free_rack(["a", "b"]),
@@ -60,10 +60,8 @@ PARENTS = {
 
 
 def families(parent):
-    b0 = parent.model("b").generator_names[0]
-    table = TableComponent(
-        "b", ((AbelianWord(((b0, 2),)), Fraction(1, 2)),), Fraction(1, 2)
-    )
+    b0 = parent.model("b").embed(0)
+    table = TableComponent("b", ((scale(b0, 2), Fraction(1, 2)),), Fraction(1, 2))
     fractional = Sigma(((1, Fraction(1, 2)), (2, Fraction(-2))), Fraction(1, 3))
     return {
         "sign": sign_family(parent),
@@ -109,7 +107,7 @@ def whole_word_group_defect(family, config, exhaustive_syllables, exhaustive_exp
         gh = concat_words(parent, g, h)
         defect = abs(rolli_qm(family, g) + rolli_qm(family, h) - rolli_qm(family, gh))
         if defect > best:
-            best, witness = defect, (g.render(), h.render())
+            best, witness = defect, (g.render(parent), h.render(parent))
     return DefectEstimate(best, witness, len(pairs))
 
 
@@ -198,12 +196,12 @@ CERTIFIED = {name: PARENTS[name] for name in ("FR", "FQ", "T2*T3")}
 
 
 def growth_families(parent):
-    a0 = parent.model("a").generator_names[0]
-    b0 = parent.model("b").generator_names[0]
+    a0 = parent.model("a").embed(0)
+    b0 = parent.model("b").embed(0)
     # lambda(e_a) = 1 against lambda(e_b) = -1/2, so the witness takes e_b^-1
     opposed = LambdaFamily(parent, (
-        TableComponent("a", ((AbelianWord(((a0, 1),)), Fraction(1)),), Fraction(1)),
-        TableComponent("b", ((AbelianWord(((b0, 1),)), Fraction(-1, 2)),), Fraction(1, 2)),
+        TableComponent("a", ((a0, Fraction(1)),), Fraction(1)),
+        TableComponent("b", ((b0, Fraction(-1, 2)),), Fraction(1, 2)),
     ))
     named = families(parent)
     return {

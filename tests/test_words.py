@@ -99,19 +99,18 @@ def test_power_matches_repeated_product(w, n):
 
 @given(words, words)
 def test_abelianization_is_multiplicative_and_commutative(u, v):
-    assert abelianize(u * v) == abelianize(u) * abelianize(v)
-    assert abelianize(u) * abelianize(v) == abelianize(v) * abelianize(u)
+    joined = AbelianWord(abelianize(u).exponents + abelianize(v).exponents)
+    assert abelianize(u * v) == joined
+    assert abelianize(u * v) == abelianize(v * u)
 
 
 def test_abelian_word_basics():
     w = parse_abelian("b a^2 b^-3")
     assert w.exponents == (("a", 2), ("b", -2))
-    assert w.exponent("a") == 2 and w.exponent("c") == 0
-    assert w.inverse().exponents == (("a", -2), ("b", 2))
-    assert (w * w.inverse()).is_identity
-    assert w.total_degree() == 0
-    assert AbelianWord((("a", 3),)).single_power() == ("a", 3)
-    assert w.single_power() is None
+    assert w.render() == "a^2 b^-2"
+    assert parse_abelian("b a^-1 b^-1 a").exponents == ()
+    # tokens sort by name, so a.10 comes before a.2
+    assert AbelianWord((("a.2", 1), ("a.10", 1))).render() == "a.10 a.2"
 
 
 def test_seeded_bulk_reduction_invariants():
