@@ -99,7 +99,7 @@ def _sampler(args) -> SamplerConfig:
 def _load_family(args, path: str, *texts: str):
     with open(path) as fh:
         data = json.load(fh)
-    factor_names = [entry["factor"] for entry in data.get("family", ())]
+    factor_names = [entry["factor"] for entry in qm.family_entries(data)]
     parent = build_parent(args, " ".join(f"{n}.0" for n in factor_names), *texts)
     return parent, qm.family_from_dict(parent, data)
 

@@ -34,7 +34,7 @@ appear only in :func:`parse_element` and :func:`render_value`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .adjoint import FreeRackFactorModel, TrivialRackModel, Value, scale, trivial_rack_model
@@ -65,15 +65,26 @@ _BASE = re.compile(r"(?P<factor>[A-Za-z][A-Za-z0-9_]*)\.(?P<key>-?\d+)\Z")
 
 @dataclass(frozen=True)
 class FreeProductRack:
-    """An ordered family of at least two factor models, with a quandle flag."""
+    """An ordered family of at least two factor models, with a quandle flag.
+
+    ``factor_names``, the name -> model lookup and ``successors`` are derived
+    from ``factors`` once, and take no part in equality, hashing or repr.
+    ``successors[prev]`` lists, in order, the factors a syllable may take
+    after a syllable of factor ``prev`` (after ``None``: every factor).
+    """
 
     factors: tuple[FactorModel, ...]
     quandle: bool
+    factor_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    successors: dict[str | None, tuple[str, ...]] = field(
+        init=False, compare=False, repr=False
+    )
+    _models: dict[str, FactorModel] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.factors) < 2:
             raise ValueError("a free product needs at least 2 factors")
-        names = [f.factor for f in self.factors]
+        names = tuple(f.factor for f in self.factors)
         if len(set(names)) != len(names):
             raise ValueError("factor names must be distinct")
         for name in names:
@@ -81,16 +92,16 @@ class FreeProductRack:
                 raise ValueError(f"bad factor name {name!r}")
         if self.quandle and not all(f.is_quandle for f in self.factors):
             raise ValueError("quandle flag requires every factor to be a quandle")
+        successors = {prev: tuple(n for n in names if n != prev) for prev in (None, *names)}
+        object.__setattr__(self, "factor_names", names)
+        object.__setattr__(self, "successors", successors)
+        object.__setattr__(self, "_models", dict(zip(names, self.factors)))
 
     def model(self, name: str) -> FactorModel:
-        for f in self.factors:
-            if f.factor == name:
-                return f
-        raise KeyError(f"unknown factor {name!r}")
-
-    @property
-    def factor_names(self) -> tuple[str, ...]:
-        return tuple(f.factor for f in self.factors)
+        try:
+            return self._models[name]
+        except KeyError:
+            raise KeyError(f"unknown factor {name!r}") from None
 
 
 def free_rack(names: Sequence[str]) -> FreeProductRack:

@@ -8,6 +8,12 @@ certified unbounded through explicit witness elements with exactly linear
 growth.  All values are exact rationals, so the defect bounds here are hard
 assertions rather than float comparisons.
 
+A family fixes one common ``denominator`` D, the lcm of the denominators of
+every value its components take, and evaluates each factor through one
+integer evaluator ``v -> D * lambda(v)``.  Sums, junction terms and defect
+comparisons run on those integer numerators (scaling by D > 0 keeps every
+order); a ``Fraction`` is built only where a value leaves the module.
+
 Every defect and cocycle check is computed at the junction where two reduced
 words meet (:func:`_junction`); re-summing whole words with :func:`rolli_qm`
 and :func:`rack_qm` gives the same values and is kept as the tests' oracle.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .adjoint import Value, scale
@@ -73,6 +80,7 @@ __all__ = [
     "v0_dim",
     "parse_fraction",
     "format_fraction",
+    "family_entries",
     "family_from_dict",
     "family_to_dict",
 ]
@@ -88,7 +96,15 @@ def parse_fraction(text) -> Fraction:
         return text
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise QmError(f"{text!r} is not a rational number") from None
+
+
+def _scaled(value: Fraction, d: int) -> int:
+    """``d * value`` as an int, for d a multiple of ``value.denominator``."""
+    return value.numerator * (d // value.denominator)
 
 
 def format_fraction(value: Fraction) -> str:
@@ -134,17 +150,31 @@ class Sigma:
         values = [abs(v) for _, v in self.entries] + [abs(self.tail)]
         return max(values)
 
-    def value(self, n: int) -> Fraction:
-        if n == 0:
-            return Fraction(0)
-        sign = 1 if n > 0 else -1
-        n = abs(n)
+    @property
+    def denominator(self) -> int:
+        """The lcm of the denominators of the entries and the tail."""
+        return lcm(self.tail.denominator, *(v.denominator for _, v in self.entries))
+
+    def scaled(self, d: int) -> Callable[[int], int]:
+        """``n -> d * sigma(n)`` as an int, for d a multiple of ``denominator``."""
+        table = {0: 0}
         for k, v in self.entries:
-            if k == n:
-                return sign * v
-        if n > self.cutoff:
-            return sign * self.tail
-        return Fraction(0)
+            table[k] = _scaled(v, d)
+            table[-k] = -table[k]
+        cutoff, tail = self.cutoff, _scaled(self.tail, d)
+        get = table.get
+
+        def at(n: int) -> int:
+            v = get(n)
+            if v is not None:
+                return v
+            return tail if n > cutoff else -tail if n < -cutoff else 0
+
+        return at
+
+    def value(self, n: int) -> Fraction:
+        d = self.denominator
+        return Fraction(self.scaled(d)(n), d)
 
     def support_points(self) -> list[int]:
         points = [k for k, v in self.entries if v]
@@ -160,10 +190,14 @@ class SignComponent:
     factor: str
 
     bound = Fraction(1)
+    denominator = 1
 
-    def value(self, word: Value) -> Fraction:
-        d = sum(word)
-        return Fraction(0) if d == 0 else Fraction(1 if d > 0 else -1)
+    def evaluator(self, model, d: int) -> Callable[[Value], int]:
+        def value(word: Value) -> int:
+            s = sum(word)
+            return d if s > 0 else -d if s else 0
+
+        return value
 
     def probes(self, model) -> Iterator[Value]:
         yield model.embed(0)
@@ -183,11 +217,20 @@ class IotaComponent:
     def bound(self) -> Fraction:
         return self.sigma.bound
 
-    def value(self, word: Value) -> Fraction:
-        # a pure power of another generator leaves word[index] = 0
-        if word.count(0) != len(word) - 1:
-            return Fraction(0)
-        return self.sigma.value(word[self.index])
+    @property
+    def denominator(self) -> int:
+        return self.sigma.denominator
+
+    def evaluator(self, model, d: int) -> Callable[[Value], int]:
+        at, index = self.sigma.scaled(d), self.index
+        if model.rank == 1:
+            return lambda word: at(word[index])
+
+        def value(word: Value) -> int:
+            # a pure power of another generator leaves word[index] = 0
+            return at(word[index]) if word.count(0) == len(word) - 1 else 0
+
+        return value
 
     def probes(self, model) -> Iterator[Value]:
         for k in self.sigma.support_points():
@@ -215,16 +258,18 @@ class TableComponent:
                 raise QmError("table value exceeds the declared bound")
             table[word] = value
         object.__setattr__(self, "entries", tuple(table.items()))
-        object.__setattr__(self, "_table", table)
 
-    def value(self, word: Value) -> Fraction:
-        table = self._table  # type: ignore[attr-defined]
-        if word in table:
-            return table[word]
-        inv = scale(word, -1)
-        if inv in table:
-            return -table[inv]
-        return Fraction(0)
+    @property
+    def denominator(self) -> int:
+        return lcm(*(v.denominator for _, v in self.entries))
+
+    def evaluator(self, model, d: int) -> Callable[[Value], int]:
+        table: dict[Value, int] = {}  # both orientations of every stored pair
+        for word, v in self.entries:
+            table[word] = _scaled(v, d)
+            table[scale(word, -1)] = -table[word]
+        get = table.get
+        return lambda word: get(word, 0)
 
     def probes(self, model) -> Iterator[Value]:
         for word, value in self.entries:
@@ -237,9 +282,10 @@ class ZeroComponent:
     factor: str
 
     bound = Fraction(0)
+    denominator = 1
 
-    def value(self, word: Value) -> Fraction:
-        return Fraction(0)
+    def evaluator(self, model, d: int) -> Callable[[Value], int]:
+        return lambda word: 0
 
     def probes(self, model) -> Iterator[Value]:
         return iter(())
@@ -249,7 +295,13 @@ Component = SignComponent | IotaComponent | TableComponent | ZeroComponent
 
 
 class LambdaFamily:
-    """One odd bounded component per factor of a parent free product."""
+    """One odd bounded component per factor of a parent free product.
+
+    ``denominator`` is the lcm D of the denominators of every value the
+    components take (sign and zero components take integers), and
+    ``evaluators[factor]`` maps a value v of that factor to the int
+    ``D * lambda(v)``.
+    """
 
     def __init__(self, parent: FreeProductRack, components: Iterable[Component]):
         self.parent = parent
@@ -265,6 +317,11 @@ class LambdaFamily:
             raise QmError(f"components for unknown factors {sorted(unknown)}")
         self.components = tuple(by_factor[name] for name in parent.factor_names)
         self._by_factor = by_factor
+        self.denominator = lcm(*(comp.denominator for comp in self.components))
+        self.evaluators: dict[str, Callable[[Value], int]] = {
+            comp.factor: comp.evaluator(parent.model(comp.factor), self.denominator)
+            for comp in self.components
+        }
 
     @property
     def bound(self) -> Fraction:
@@ -277,7 +334,8 @@ class LambdaFamily:
             raise QmError(f"no lambda component for factor {factor!r}")
 
     def value(self, factor: str, word: Value) -> Fraction:
-        return self.component(factor).value(word)
+        self.component(factor)  # an unknown factor raises QmError
+        return Fraction(self.evaluators[factor](word), self.denominator)
 
     def probes(self) -> Iterator[tuple[str, Value]]:
         for comp in self.components:
@@ -306,10 +364,9 @@ def zero_family(parent: FreeProductRack) -> LambdaFamily:
 
 def rolli_qm(family: LambdaFamily, word: SyllableWord) -> Fraction:
     """Sum the family over the syllables of a factorization."""
-    total = Fraction(0)
-    for factor, value in word.syllables:
-        total += family.value(factor, value)
-    return total
+    lam = family.evaluators
+    total = sum([lam[factor](value) for factor, value in word.syllables])
+    return Fraction(total, family.denominator)
 
 
 def rack_qm(family: LambdaFamily, element: FreeProductElement) -> Fraction:
@@ -322,23 +379,23 @@ def _junction(
     head: Sequence[tuple[str, Value]],
     at: Callable[[int], tuple[str, Value]],
     length: int,
-) -> tuple[Fraction | None, int, int]:
-    """``(phi(g) + phi(h) - phi(gh), i, k)`` for alternating g = ``head`` and
-    h = ``at(0..length-1)``.  Cancelled pairs add 0 because the family is odd,
-    so the walk stops at ``head[i-1]`` against ``at(k)``: with the merge term
-    ``lambda(a) + lambda(b) - lambda(ab)`` if they merge, else with None (a
-    difference of 0) once the factors differ or a side is used up."""
-    models = family.parent.model
-    value = family.value
+) -> tuple[int | None, int, int]:
+    """``(D * (phi(g) + phi(h) - phi(gh)), i, k)`` for alternating g = ``head``
+    and h = ``at(0..length-1)``, D the family's denominator.  Cancelled pairs
+    add 0 because the family is odd, so the walk stops at ``head[i-1]`` against
+    ``at(k)``: with the merge term ``D * (lambda(a) + lambda(b) - lambda(ab))``
+    if they merge, else with None (a difference of 0) once the factors differ
+    or a side is used up."""
     i, k = len(head), 0
     while i and k < length:
         name, b = at(k)
         last_name, a = head[i - 1]
         if name != last_name:
             break
-        merged = models(name).multiply(a, b)
+        merged = family.parent.model(name).multiply(a, b)
         if any(merged):
-            return value(name, a) + value(name, b) - value(name, merged), i, k
+            lam = family.evaluators[name]
+            return lam(a) + lam(b) - lam(merged), i, k
         i -= 1
         k += 1
     return None, i, k
@@ -359,8 +416,14 @@ def rack_qm_increment(
     p's base.  :func:`rack_op` and :func:`rack_qm` on whole tails give the
     same value.
     """
+    return Fraction(_increment(family, p, q), family.denominator)
+
+
+def _increment(family: LambdaFamily, p: FreeProductElement, q: FreeProductElement) -> int:
+    """:func:`rack_qm_increment` times the family's denominator."""
     if p.parent != q.parent:
         raise ValueError("elements come from different free products")
+    lam = family.evaluators
     e_y = p.parent.model(q.base_factor).embed(q.base_key)
     tail = q.tail.syllables
     n = len(tail)
@@ -375,13 +438,13 @@ def rack_qm_increment(
         return tail[k - n - 1]
 
     merge, i, k = _junction(family, p.tail.syllables, conjugate, 2 * n + 1)
-    increment = family.value(q.base_factor, e_y)
+    increment = lam[q.base_factor](e_y)
     if merge is not None:
         return increment - merge  # a merged syllable keeps g's factor, not the base's
     if not i and k <= 2 * n:
         name, v = conjugate(k)
         if name == p.base_factor:
-            increment -= family.value(name, v)
+            increment -= lam[name](v)
     return increment
 
 
@@ -411,38 +474,43 @@ def group_defect_estimate(
     defect, reported with an achieving pair.
     """
     parent = family.parent
-    best = Fraction(0)
+    best = 0  # times the family's denominator, as every junction term
     witness = ("", "")
     checked = 0
 
-    def consider(g: SyllableWord, h: SyllableWord) -> None:
+    def bind(h: SyllableWord) -> tuple:
+        # h with its syllable lookup and length, read once for every g
+        return h, h.syllables.__getitem__, len(h)
+
+    def consider(g: SyllableWord, hs: Sequence[tuple]) -> None:
         nonlocal best, witness, checked
-        checked += 1
-        merge = _junction(family, g.syllables, h.syllables.__getitem__, len(h))[0]
-        if merge is not None and abs(merge) > best:
-            best = abs(merge)
-            witness = (g.render(parent), h.render(parent))
+        head = g.syllables
+        for h, at, length in hs:
+            merge = _junction(family, head, at, length)[0]
+            if merge is not None and abs(merge) > best:
+                best = abs(merge)
+                witness = (g.render(parent), h.render(parent))
+        checked += len(hs)
 
     if exhaustive_syllables is not None:
         exponent = config.max_exponent if exhaustive_exponent is None else exhaustive_exponent
-        by_length: dict[int, list[SyllableWord]] = {}
+        by_length: dict[int, list[tuple]] = {}
         for word in enumerate_syllable_words(parent, exhaustive_syllables, exponent):
-            by_length.setdefault(len(word), []).append(word)
+            by_length.setdefault(len(word), []).append(bind(word))
         for lg, gs in sorted(by_length.items()):
             for lh, hs in sorted(by_length.items()):
                 if lg + lh > exhaustive_syllables:
                     break
-                for g in gs:
-                    for h in hs:
-                        consider(g, h)
+                for g, _, _ in gs:
+                    consider(g, hs)
 
     rng = make_rng(config)
     for _ in range(config.samples):
         g = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
         h = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
-        consider(g, h)
+        consider(g, (bind(h),))
 
-    return DefectEstimate(best, witness, checked)
+    return DefectEstimate(Fraction(best, family.denominator), witness, checked)
 
 
 def rack_defect_estimate(
@@ -451,16 +519,16 @@ def rack_defect_estimate(
     """Max of ``|phi(p) - phi(p <| q)|`` over seeded random element pairs."""
     parent = family.parent
     rng = make_rng(config)
-    best = Fraction(0)
+    best = 0  # times the family's denominator
     witness = ("", "")
     for _ in range(config.samples):
         p = sample_element(parent, rng, config.max_syllables, config.max_exponent)
         q = sample_element(parent, rng, config.max_syllables, config.max_exponent)
-        defect = abs(rack_qm_increment(family, p, q))
+        defect = abs(_increment(family, p, q))
         if defect > best:
             best = defect
             witness = (p.render(), q.render())
-    return DefectEstimate(best, witness, config.samples)
+    return DefectEstimate(Fraction(best, family.denominator), witness, config.samples)
 
 
 @dataclass(frozen=True)
@@ -501,18 +569,19 @@ def find_unboundedness_witness(family: LambdaFamily) -> UnboundednessWitness:
     for at least one sign because the family is odd.
     """
     parent = family.parent
+    lam = family.evaluators
     for probe_factor, probe in family.probes():
-        lam0 = family.value(probe_factor, probe)
+        lam0 = lam[probe_factor](probe)
         if lam0 == 0:
             continue
         base_factor = next(n for n in parent.factor_names if n != probe_factor)
         model = parent.model(base_factor)
         base_key = model.validate_key(0)
         e_x = model.embed(base_key)
-        lam_x = family.value(base_factor, e_x)
+        lam_x = lam[base_factor](e_x)
         plus, minus = lam0 + lam_x, lam0 - lam_x
         epsilon = 1 if abs(plus) >= abs(minus) else -1
-        increment = plus if epsilon == 1 else minus
+        increment = Fraction(plus if epsilon == 1 else minus, family.denominator)
         return UnboundednessWitness(
             parent, probe_factor, probe, base_factor, base_key, epsilon, increment
         )
@@ -680,9 +749,37 @@ def v0_dim(groups: Iterable[GroupTable]) -> int:
 #  "bound": "p/q"}
 
 
+def _object(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise QmError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    # int() would truncate 2.5 and accept true; only ints and digit strings pass
+    try:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise QmError(f"{what} must be an integer, got {value!r}")
+
+
+def family_entries(data) -> list[Mapping]:
+    """The component entries of a family document, checked for shape: an
+    object whose ``family`` is a list of objects, each naming a ``factor``."""
+    entries = _object(data, "a lambda family").get("family", [])
+    if not isinstance(entries, list):
+        raise QmError(f"'family' must be a JSON list, got {type(entries).__name__}")
+    for entry in entries:
+        if not isinstance(_object(entry, "a family entry").get("factor"), str):
+            raise QmError(f"family entry {entry!r} needs a string 'factor'")
+    return entries
+
+
 def family_from_dict(parent: FreeProductRack, data: Mapping) -> LambdaFamily:
     components: list[Component] = []
-    for entry in data.get("family", ()):
+    for entry in family_entries(data):
         factor = entry["factor"]
         kind = entry.get("kind", "sign")
         if kind == "sign":
@@ -691,11 +788,15 @@ def family_from_dict(parent: FreeProductRack, data: Mapping) -> LambdaFamily:
             sigma_data = entry.get("sigma")
             if "indicator" in entry:
                 sigma = Sigma.indicator(
-                    int(entry["indicator"]), parse_fraction(entry.get("value", 1))
+                    _integer(entry["indicator"], "'indicator'"),
+                    parse_fraction(entry.get("value", 1)),
                 )
             elif sigma_data is not None:
                 sigma = Sigma(
-                    tuple((int(k), parse_fraction(v)) for k, v in sigma_data.items()),
+                    tuple(
+                        (_integer(k, "a sigma argument"), parse_fraction(v))
+                        for k, v in _object(sigma_data, "'sigma'").items()
+                    ),
                     tail=parse_fraction(entry.get("tail", 0)),
                 )
             else:
@@ -707,13 +808,13 @@ def family_from_dict(parent: FreeProductRack, data: Mapping) -> LambdaFamily:
                     raise QmError(f"generator {generator!r} is not in factor {factor!r}")
                 index = model.generator_names.index(generator)
             else:
-                key = model.validate_key(int(entry.get("element", 0)))
+                key = model.validate_key(_integer(entry.get("element", 0), "'element'"))
                 index = model.embed(key).index(1)
             components.append(IotaComponent(factor, index, sigma))
         elif kind == "table":
             names = parent.model(factor).generator_names
             entries = []
-            for word, v in entry.get("values", {}).items():
+            for word, v in _object(entry.get("values", {}), "'values'").items():
                 exponents = dict(parse_abelian(word, set(names)).exponents)
                 vector = tuple(exponents.get(name, 0) for name in names)
                 entries.append((vector, parse_fraction(v)))

@@ -54,17 +54,16 @@ def sample_syllable_word(
     avoid_leading: str | None = None,
 ) -> SyllableWord:
     """A random alternating word of up to ``max_syllables`` syllables;
-    ``avoid_leading`` keeps the first syllable out of one factor."""
+    ``avoid_leading`` (a factor of ``parent``) keeps the first syllable out
+    of that factor."""
     length = rng.randint(0, max_syllables)
-    names = parent.factor_names
-    # the factors a syllable may take after each previous factor, in order
-    choices = {prev: [n for n in names if n != prev] for prev in (avoid_leading, *names)}
+    choices = parent.successors
+    model = parent.model
     syllables: list[tuple[str, Value]] = []
     previous = avoid_leading
     for _ in range(length):
         name = rng.choice(choices[previous])
-        model = parent.model(name)
-        syllables.append((name, model.sample_value(rng, max_exponent)))
+        syllables.append((name, model(name).sample_value(rng, max_exponent)))
         previous = name
     return SyllableWord(tuple(syllables))
 

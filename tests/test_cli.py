@@ -306,6 +306,36 @@ def test_rack_cohomology_degree_never_leaks_a_traceback(rack_file, value):
         assert "Traceback" not in result.stderr, (args, result.stderr)
 
 
+def _iota(**fields):
+    return {"family": [{"factor": "a", "kind": "iota", **fields}]}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        [],
+        {"family": [1]},
+        {"family": {"a": 1}},
+        {"family": [{"kind": "sign"}]},
+        _iota(sigma=[1]),
+        _iota(sigma={"1": "1/0"}),
+        _iota(sigma={"1": [1]}),
+        _iota(indicator=[1]),
+        _iota(indicator=2.5),
+        _iota(element=True, sigma={"1": "1"}),
+        {"family": [{"factor": "a", "kind": "table", "values": [1], "bound": "1"}]},
+    ],
+    ids=json.dumps,
+)
+def test_qm_defect_rejects_malformed_family_json(tmp_path, document):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(document))
+    result = run_cli("qm", "defect", str(path), "--factors", "a,b", "--samples", "10")
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: "), result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_qm_witness(sign_family_file, capsys):
     assert main(["qm", "witness", sign_family_file, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -111,10 +111,10 @@ def test_sigma_tail_rule():
 def test_table_component_oddness_enforced():
     with pytest.raises(QmError):
         TableComponent("a", (((2,), Fraction(1)), ((-2,), Fraction(1))), Fraction(1))
-    comp = TableComponent("a", (((2,), Fraction(1, 2)),), Fraction(1, 2))
-    assert comp.value((2,)) == Fraction(1, 2)
-    assert comp.value((-2,)) == Fraction(-1, 2)
-    assert comp.value((1,)) == 0
+    fam = LambdaFamily(FR, (TableComponent("a", (((2,), Fraction(1, 2)),), Fraction(1, 2)),))
+    assert fam.value("a", (2,)) == Fraction(1, 2)
+    assert fam.value("a", (-2,)) == Fraction(-1, 2)
+    assert fam.value("a", (1,)) == 0
 
 
 def test_rack_qm_evaluates_tail():

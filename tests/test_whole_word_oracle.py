@@ -1,4 +1,5 @@
-"""The junction walk and the one-period witnesses against whole-word loops.
+"""The junction walk, the one-period witnesses and the integer lambda
+kernels against plain reference loops.
 
 ``group_defect_estimate``, ``check_cocycle_diag`` and ``bounded_2cocycle_check``
 read every difference off the junction where two reduced words meet.  The
@@ -9,9 +10,15 @@ in the same order, and must give equal results in every field.
 ``independence_certificate`` and ``witness_growth_table`` evaluate each
 periodic witness ``(x, period^n)`` on one period; here ``rack_qm`` sums the
 whole n-fold tail, reduced from scratch, instead.
+
+Every lambda family evaluates through integer numerators over one common
+denominator.  The last section keeps the per-component ``Fraction`` values
+and the ``Fraction`` junction, increment and estimate loops they replaced,
+and asserts equal values, defects, witnesses and ``checked`` counts.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -30,14 +37,19 @@ from rackqm.free_product import (
 )
 from rackqm.quasimorphism import (
     DefectEstimate,
+    IotaComponent,
     LambdaFamily,
     Sigma,
+    SignComponent,
     TableComponent,
     UnboundednessWitness,
+    ZeroComponent,
     find_unboundedness_witness,
     group_defect_estimate,
     iota_family,
+    rack_defect_estimate,
     rack_qm,
+    rack_qm_increment,
     rolli_qm,
     sign_family,
     witness_growth_table,
@@ -271,3 +283,219 @@ def test_periodic_witnesses_never_build_tails(monkeypatch):
         family = sign_family(parent)
         witness = find_unboundedness_witness(family)
         assert witness_growth_table(family, witness, [10**9]) == {10**9: 2 * 10**9}
+
+
+# -- integer kernels against Fraction loops -------------------------------------
+
+
+def sigma_oracle(sigma, n):
+    if n == 0:
+        return Fraction(0)
+    sign = 1 if n > 0 else -1
+    for k, v in sigma.entries:
+        if k == abs(n):
+            return sign * v
+    return sign * sigma.tail if abs(n) > sigma.cutoff else Fraction(0)
+
+
+def component_oracle(comp, word):
+    """lambda(word) straight from a component's data, in Fractions."""
+    if isinstance(comp, SignComponent):
+        d = sum(word)
+        return Fraction((d > 0) - (d < 0))
+    if isinstance(comp, IotaComponent):
+        pure = word.count(0) == len(word) - 1
+        return sigma_oracle(comp.sigma, word[comp.index]) if pure else Fraction(0)
+    if isinstance(comp, TableComponent):
+        table = dict(comp.entries)
+        if word in table:
+            return table[word]
+        return -table.get(scale(word, -1), Fraction(0))
+    assert isinstance(comp, ZeroComponent)
+    return Fraction(0)
+
+
+def lam_oracle(family, factor, word):
+    return component_oracle(family.component(factor), word)
+
+
+def rolli_oracle(family, word):
+    return sum((lam_oracle(family, f, v) for f, v in word.syllables), Fraction(0))
+
+
+def junction_oracle(family, head, at, length):
+    i, k = len(head), 0
+    while i and k < length:
+        name, b = at(k)
+        last_name, a = head[i - 1]
+        if name != last_name:
+            break
+        merged = family.parent.model(name).multiply(a, b)
+        if any(merged):
+            lam = lambda v: lam_oracle(family, name, v)  # noqa: E731
+            return lam(a) + lam(b) - lam(merged), i, k
+        i -= 1
+        k += 1
+    return None, i, k
+
+
+def increment_oracle(family, p, q):
+    e_y = p.parent.model(q.base_factor).embed(q.base_key)
+    tail = q.tail.syllables
+    n = len(tail)
+
+    def conjugate(k):
+        if k < n:
+            name, value = tail[n - 1 - k]
+            return name, scale(value, -1)
+        if k == n:
+            return q.base_factor, e_y
+        return tail[k - n - 1]
+
+    merge, i, k = junction_oracle(family, p.tail.syllables, conjugate, 2 * n + 1)
+    increment = lam_oracle(family, q.base_factor, e_y)
+    if merge is not None:
+        return increment - merge
+    if not i and k <= 2 * n:
+        name, v = conjugate(k)
+        if name == p.base_factor:
+            increment -= lam_oracle(family, name, v)
+    return increment
+
+
+def group_defect_oracle(family, config, exhaustive_syllables, exhaustive_exponent):
+    parent = family.parent
+    pairs = []
+    if exhaustive_syllables is not None:
+        by_length = {}
+        for word in enumerate_syllable_words(parent, exhaustive_syllables, exhaustive_exponent):
+            by_length.setdefault(len(word), []).append(word)
+        pairs = [
+            (g, h)
+            for lg, gs in sorted(by_length.items())
+            for lh, hs in sorted(by_length.items())
+            if lg + lh <= exhaustive_syllables
+            for g in gs
+            for h in hs
+        ]
+    rng = make_rng(config)
+    for _ in range(config.samples):
+        g = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
+        h = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
+        pairs.append((g, h))
+    best, witness = Fraction(0), ("", "")
+    for g, h in pairs:
+        merge = junction_oracle(family, g.syllables, h.syllables.__getitem__, len(h))[0]
+        if merge is not None and abs(merge) > best:
+            best, witness = abs(merge), (g.render(parent), h.render(parent))
+    return DefectEstimate(best, witness, len(pairs))
+
+
+def rack_defect_oracle(family, config):
+    rng = make_rng(config)
+    best, witness = Fraction(0), ("", "")
+    for _ in range(config.samples):
+        p = sample_element(family.parent, rng, config.max_syllables, config.max_exponent)
+        q = sample_element(family.parent, rng, config.max_syllables, config.max_exponent)
+        defect = abs(increment_oracle(family, p, q))
+        if defect > best:
+            best, witness = defect, (p.render(), q.render())
+    return DefectEstimate(best, witness, config.samples)
+
+
+KERNEL_PARENTS = {
+    "FR": PARENTS["FR"],
+    "FQ": PARENTS["FQ"],
+    "T2*T3": PARENTS["T2*T3"],
+    "T11*T2": trivial_product({"a": 11, "b": 2}),
+}
+
+
+def kernel_families(parent):
+    """Families whose denominators run up to 2 * 3 * 5 * 7 = 210; sign and
+    table components sit next to fractional ones, so they are scaled by D > 1."""
+    a = parent.model("a")
+    a0, a_last = a.embed(0), a.embed(a.rank - 1)
+    b0 = parent.model("b").embed(0)
+    half_third = Sigma(((1, Fraction(1, 2)), (2, Fraction(-1, 3))), Fraction(2, 5))
+    sevenths = TableComponent(
+        "b", ((b0, Fraction(1, 7)), (scale(b0, 2), Fraction(-3, 7))), Fraction(3, 7)
+    )
+    a_table = TableComponent(
+        "a",
+        ((scale(a0, 2), Fraction(1, 2)), (scale(a_last, -1), Fraction(-2, 5))),
+        Fraction(1, 2),
+    )
+    return {
+        "sign": sign_family(parent),
+        "table": LambdaFamily(parent, (a_table, sevenths)),
+        "coprime": LambdaFamily(parent, (IotaComponent("a", 0, half_third), sevenths)),
+        "sign+iota": LambdaFamily(parent, (IotaComponent("a", 0, half_third), SignComponent("b"))),
+        "table+sign": LambdaFamily(parent, (a_table, SignComponent("b"))),
+        "zero": zero_family(parent),
+    }
+
+
+KERNEL_CASES = [
+    pytest.param(parent, label, id=f"{name}-{label}")
+    for name, parent in KERNEL_PARENTS.items()
+    for label in kernel_families(parent)
+]
+
+
+def test_kernel_families_cover_coprime_denominators():
+    denominators = {
+        label: family.denominator
+        for label, family in kernel_families(KERNEL_PARENTS["FR"]).items()
+    }
+    assert denominators == {
+        "sign": 1, "table": 70, "coprime": 210, "sign+iota": 30, "table+sign": 10, "zero": 1,
+    }
+
+
+@pytest.mark.parametrize("parent, label", KERNEL_CASES)
+def test_integer_estimates_match_fraction_loops(parent, label):
+    family = kernel_families(parent)[label]
+    sampled = SamplerConfig(seed=9, samples=300, max_syllables=4, max_exponent=2)
+    # a rank-11 factor has 3^11 - 1 values at exponent 1: sampled pairs only there
+    for syllables in (None,) if parent.model("a").rank > 3 else (3, None):
+        est = group_defect_estimate(family, sampled, syllables, 1)
+        assert est == group_defect_oracle(family, sampled, syllables, 1)
+    assert rack_defect_estimate(family, CONFIG) == rack_defect_oracle(family, CONFIG)
+
+
+@pytest.mark.parametrize("parent, label", KERNEL_CASES)
+def test_integer_values_match_fraction_sums(parent, label):
+    family = kernel_families(parent)[label]
+    rng = make_rng(SamplerConfig(seed=12))
+    for _ in range(200):
+        word = sample_syllable_word(parent, rng, 6, 3)
+        assert rolli_qm(family, word) == rolli_oracle(family, word)
+        p = sample_element(parent, rng, 4, 2)
+        q = sample_element(parent, rng, 4, 2)
+        assert rack_qm(family, p) == rolli_oracle(family, p.tail)
+        assert rack_qm_increment(family, p, q) == increment_oracle(family, p, q)
+
+
+@pytest.mark.parametrize("parent, label", KERNEL_CASES)
+def test_denominator_and_value_match_the_component_oracle(parent, label):
+    family = kernel_families(parent)[label]
+    values = []  # sign and zero components take integers only
+    for comp in family.components:
+        if isinstance(comp, TableComponent):
+            values += [v for _, v in comp.entries]
+        elif isinstance(comp, IotaComponent):
+            values += [v for _, v in comp.sigma.entries] + [comp.sigma.tail]
+    assert family.denominator == lcm(*(v.denominator for v in values))
+    cutoff = max(
+        (c.sigma.cutoff for c in family.components if isinstance(c, IotaComponent)), default=0
+    )
+    for factor in parent.factor_names:
+        model = parent.model(factor)
+        words = [model.identity()]
+        words += [scale(model.embed(i), k) for i in range(model.rank)
+                  for k in range(-cutoff - 2, cutoff + 3) if k]
+        words += [w for f, probe in family.probes() if f == factor
+                  for w in (probe, scale(probe, -1))]
+        for word in words:
+            assert family.value(factor, word) == lam_oracle(family, factor, word), (factor, word)
