@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .adjoint import FreeRackFactorModel, TrivialRackModel, Value, scale, trivial_rack_model
@@ -69,14 +70,15 @@ class FreeProductRack:
 
     ``factor_names``, the name -> model lookup and ``successors`` are derived
     from ``factors`` once, and take no part in equality, hashing or repr.
-    ``successors[prev]`` lists, in order, the factors a syllable may take
-    after a syllable of factor ``prev`` (after ``None``: every factor).
+    ``successors`` is read-only: ``successors[prev]`` lists, in order, the
+    factors a syllable may take after a syllable of factor ``prev`` (after
+    ``None``: every factor).
     """
 
     factors: tuple[FactorModel, ...]
     quandle: bool
     factor_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    successors: dict[str | None, tuple[str, ...]] = field(
+    successors: Mapping[str | None, tuple[str, ...]] = field(
         init=False, compare=False, repr=False
     )
     _models: dict[str, FactorModel] = field(init=False, compare=False, repr=False)
@@ -92,7 +94,9 @@ class FreeProductRack:
                 raise ValueError(f"bad factor name {name!r}")
         if self.quandle and not all(f.is_quandle for f in self.factors):
             raise ValueError("quandle flag requires every factor to be a quandle")
-        successors = {prev: tuple(n for n in names if n != prev) for prev in (None, *names)}
+        successors = MappingProxyType(
+            {prev: tuple(n for n in names if n != prev) for prev in (None, *names)}
+        )
         object.__setattr__(self, "factor_names", names)
         object.__setattr__(self, "successors", successors)
         object.__setattr__(self, "_models", dict(zip(names, self.factors)))

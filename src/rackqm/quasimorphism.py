@@ -192,7 +192,7 @@ class SignComponent:
     bound = Fraction(1)
     denominator = 1
 
-    def evaluator(self, model, d: int) -> Callable[[Value], int]:
+    def evaluator(self, d: int) -> Callable[[Value], int]:
         def value(word: Value) -> int:
             s = sum(word)
             return d if s > 0 else -d if s else 0
@@ -221,10 +221,8 @@ class IotaComponent:
     def denominator(self) -> int:
         return self.sigma.denominator
 
-    def evaluator(self, model, d: int) -> Callable[[Value], int]:
+    def evaluator(self, d: int) -> Callable[[Value], int]:
         at, index = self.sigma.scaled(d), self.index
-        if model.rank == 1:
-            return lambda word: at(word[index])
 
         def value(word: Value) -> int:
             # a pure power of another generator leaves word[index] = 0
@@ -263,7 +261,7 @@ class TableComponent:
     def denominator(self) -> int:
         return lcm(*(v.denominator for _, v in self.entries))
 
-    def evaluator(self, model, d: int) -> Callable[[Value], int]:
+    def evaluator(self, d: int) -> Callable[[Value], int]:
         table: dict[Value, int] = {}  # both orientations of every stored pair
         for word, v in self.entries:
             table[word] = _scaled(v, d)
@@ -284,7 +282,7 @@ class ZeroComponent:
     bound = Fraction(0)
     denominator = 1
 
-    def evaluator(self, model, d: int) -> Callable[[Value], int]:
+    def evaluator(self, d: int) -> Callable[[Value], int]:
         return lambda word: 0
 
     def probes(self, model) -> Iterator[Value]:
@@ -319,8 +317,7 @@ class LambdaFamily:
         self._by_factor = by_factor
         self.denominator = lcm(*(comp.denominator for comp in self.components))
         self.evaluators: dict[str, Callable[[Value], int]] = {
-            comp.factor: comp.evaluator(parent.model(comp.factor), self.denominator)
-            for comp in self.components
+            comp.factor: comp.evaluator(self.denominator) for comp in self.components
         }
 
     @property

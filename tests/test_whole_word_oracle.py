@@ -95,25 +95,34 @@ CASES = [
 CONFIG = SamplerConfig(seed=5, samples=300, max_syllables=4, max_exponent=2)
 
 
-def whole_word_group_defect(family, config, exhaustive_syllables, exhaustive_exponent):
-    parent = family.parent
-    by_length = {}
-    for word in enumerate_syllable_words(parent, exhaustive_syllables, exhaustive_exponent):
-        by_length.setdefault(len(word), []).append(word)
-    # pairs ordered by (|g|, |h|), then in enumeration order
-    pairs = [
-        (g, h)
-        for lg, gs in sorted(by_length.items())
-        for lh, hs in sorted(by_length.items())
-        if lg + lh <= exhaustive_syllables
-        for g in gs
-        for h in hs
-    ]
+def defect_pairs(parent, config, exhaustive_syllables, exhaustive_exponent):
+    """The (g, h) pairs a group defect estimate checks, in its order: the
+    exhaustive pairs (none when ``exhaustive_syllables`` is None) ordered by
+    (|g|, |h|) and then enumeration order, followed by the sampled pairs."""
+    pairs = []
+    if exhaustive_syllables is not None:
+        by_length = {}
+        for word in enumerate_syllable_words(parent, exhaustive_syllables, exhaustive_exponent):
+            by_length.setdefault(len(word), []).append(word)
+        pairs = [
+            (g, h)
+            for lg, gs in sorted(by_length.items())
+            for lh, hs in sorted(by_length.items())
+            if lg + lh <= exhaustive_syllables
+            for g in gs
+            for h in hs
+        ]
     rng = make_rng(config)
     for _ in range(config.samples):
         g = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
         h = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
         pairs.append((g, h))
+    return pairs
+
+
+def whole_word_group_defect(family, config, exhaustive_syllables, exhaustive_exponent):
+    parent = family.parent
+    pairs = defect_pairs(parent, config, exhaustive_syllables, exhaustive_exponent)
     best, witness = Fraction(0), ("", "")
     for g, h in pairs:
         gh = concat_words(parent, g, h)
@@ -365,24 +374,7 @@ def increment_oracle(family, p, q):
 
 def group_defect_oracle(family, config, exhaustive_syllables, exhaustive_exponent):
     parent = family.parent
-    pairs = []
-    if exhaustive_syllables is not None:
-        by_length = {}
-        for word in enumerate_syllable_words(parent, exhaustive_syllables, exhaustive_exponent):
-            by_length.setdefault(len(word), []).append(word)
-        pairs = [
-            (g, h)
-            for lg, gs in sorted(by_length.items())
-            for lh, hs in sorted(by_length.items())
-            if lg + lh <= exhaustive_syllables
-            for g in gs
-            for h in hs
-        ]
-    rng = make_rng(config)
-    for _ in range(config.samples):
-        g = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
-        h = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
-        pairs.append((g, h))
+    pairs = defect_pairs(parent, config, exhaustive_syllables, exhaustive_exponent)
     best, witness = Fraction(0), ("", "")
     for g, h in pairs:
         merge = junction_oracle(family, g.syllables, h.syllables.__getitem__, len(h))[0]
