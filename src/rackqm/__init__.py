@@ -46,10 +46,13 @@ from .free_product import (
 )
 from .sampling import SamplerConfig, enumerate_syllable_words, make_rng, sample_element
 from .quasimorphism import (
+    Bounded2CocycleReport,
     HomogeneousEstimate,
     LambdaFamily,
     Sigma,
+    bounded_2cocycle_check,
     brooks_qm,
+    check_cocycle_diag,
     exponent_sum_hom,
     family_from_dict,
     family_to_dict,
@@ -70,8 +73,6 @@ from .quasimorphism import (
 from .cochain import (
     Cochain,
     CoboundaryMatrix,
-    bounded_2cocycle_check,
-    check_cocycle_diag,
     coboundary,
     coboundary_products_vanish,
     cohomology_dims,

@@ -16,15 +16,9 @@ from . import free_product as fp
 from . import quasimorphism as qm
 from .adjoint import presentation
 from .certify import boundedness_refutation, independence_certificate
-from .racks import (
-    GroupValidationError,
-    RackValidationError,
-    components,
-    load_group,
-    load_rack,
-)
+from .racks import RackValidationError, components, load_group, load_rack
 from .sampling import SamplerConfig
-from .words import GroupWord, WordParseError, parse_word
+from .words import GroupWord, parse_word
 
 OK, INVARIANT_VIOLATED, INPUT_ERROR = 0, 1, 2
 
@@ -300,7 +294,12 @@ def cmd_qm_witness(args) -> int:
 def cmd_qm_homogenize(args) -> int:
     pattern = parse_word(args.word)
     target = parse_word(args.target)
-    for flag, value in (("--doublings", args.doublings), ("--samples", args.samples)):
+    defect_bound = qm.parse_fraction(args.defect_bound)
+    for flag, value in (
+        ("--doublings", args.doublings),
+        ("--samples", args.samples),
+        ("--defect-bound", defect_bound),
+    ):
         if value < 0:
             raise CliInputError(f"{flag} must be at least 0, got {value}")
     if pattern.length() > HOMOGENIZE_LETTERS:
@@ -315,7 +314,6 @@ def cmd_qm_homogenize(args) -> int:
             f"exceeds the budget of {HOMOGENIZE_LETTERS} letters"
         )
     phi = qm.brooks(pattern)
-    defect_bound = qm.parse_fraction(args.defect_bound)
 
     # quick sampled consistency check of the declared bound
     import random
@@ -491,15 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CliInputError,
-        WordParseError,
-        GroupValidationError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (CliInputError, OSError, KeyError, ValueError) as exc:
         if isinstance(exc, RackValidationError):
             print(f"invalid: {exc}", file=sys.stderr)
             return INVARIANT_VIOLATED

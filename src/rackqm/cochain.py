@@ -16,9 +16,7 @@ the subcomplex of cochains vanishing on degenerate tuples; degrees <= 1 have
 no degeneracy constraint.
 
 Every cochain on a finite rack is bounded, so the bounded and ordinary
-complexes coincide here; the sampled checks at the bottom connect the finite
-theory to quasimorphism coboundaries on free products, where boundedness is
-the whole point.
+complexes coincide here.
 """
 
 from __future__ import annotations
@@ -28,11 +26,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence
 
-from .free_product import FreeProductElement, rack_op
 from .linalg import exact_rank, sparse_matmul
-from .quasimorphism import LambdaFamily, rack_defect_estimate, rack_qm_increment
 from .racks import FiniteRack
-from .sampling import SamplerConfig, make_rng, sample_element
 
 __all__ = [
     "Cochain",
@@ -44,9 +39,6 @@ __all__ = [
     "cohomology_dims",
     "nondegenerate_indices",
     "quandle_coboundary",
-    "check_cocycle_diag",
-    "bounded_2cocycle_check",
-    "Bounded2CocycleReport",
     "coboundary_products_vanish",
 ]
 
@@ -216,68 +208,6 @@ def cohomology_dims(
         dims.append(space_dim - rank_here - rank_below)
         rank_below = rank_here
     return dims
-
-
-def check_cocycle_diag(
-    family: LambdaFamily, config: SamplerConfig = SamplerConfig()
-) -> tuple[bool, int]:
-    """Diagonal of the quasimorphism coboundary: sampled reduced p must give
-    ``phi(p) - phi(p <| p) = 0`` exactly.  Returns (all zero, samples)."""
-    rng = make_rng(config)
-    for i in range(config.samples):
-        p = sample_element(family.parent, rng, config.max_syllables, config.max_exponent)
-        if rack_qm_increment(family, p, p) != 0:
-            return False, i + 1
-    return True, config.samples
-
-
-@dataclass(frozen=True)
-class Bounded2CocycleReport:
-    max_observed: Fraction
-    bound: Fraction
-    pairs: int
-    dd_triples: int
-    dd_all_zero: bool
-
-
-def bounded_2cocycle_check(
-    family: LambdaFamily,
-    config: SamplerConfig = SamplerConfig(),
-    dd_triples: int = 1000,
-) -> Bounded2CocycleReport:
-    """Sample the 2-cochain ``F(p, q) = phi(p) - phi(p <| q)``.
-
-    Asserts the sup of ``|F|`` over the pairs of :func:`rack_defect_estimate`
-    stays within ``4 * ||lambda||_inf`` and that the degree-2 coboundary of F
-    vanishes pointwise on triples drawn from a fresh stream of the same seed:
-    ``F(p,r) - F(p,q) - F(p<|q, r) + F(p<|r, q<|r) = 0`` exactly.
-    """
-    parent = family.parent
-    bound = 4 * family.bound
-
-    def F(a: FreeProductElement, b: FreeProductElement) -> Fraction:
-        return -rack_qm_increment(family, a, b)
-
-    worst = rack_defect_estimate(family, config).max_defect
-    if worst > bound:
-        raise AssertionError(f"observed |d phi| = {worst} exceeds the bound {bound}")
-
-    rng = make_rng(config)
-    all_zero = True
-    for _ in range(dd_triples):
-        p = sample_element(parent, rng, config.max_syllables, config.max_exponent)
-        q = sample_element(parent, rng, config.max_syllables, config.max_exponent)
-        r = sample_element(parent, rng, config.max_syllables, config.max_exponent)
-        dd = (
-            F(p, r)
-            - F(p, q)
-            - F(rack_op(p, q), r)
-            + F(rack_op(p, r), rack_op(q, r))
-        )
-        if dd != 0:
-            all_zero = False
-            break
-    return Bounded2CocycleReport(worst, bound, config.samples, dd_triples, all_zero)
 
 
 def coboundary_products_vanish(rack: FiniteRack, up_to_degree: int = 2) -> bool:

@@ -66,7 +66,8 @@ _BASE = re.compile(r"(?P<factor>[A-Za-z][A-Za-z0-9_]*)\.(?P<key>-?\d+)\Z")
 
 @dataclass(frozen=True)
 class FreeProductRack:
-    """An ordered family of at least two factor models, with a quandle flag.
+    """An ordered family of at least two factor models; a free product of
+    quandles is a quandle.
 
     ``factor_names``, the name -> model lookup and ``successors`` are derived
     from ``factors`` once, and take no part in equality, hashing or repr.
@@ -76,7 +77,6 @@ class FreeProductRack:
     """
 
     factors: tuple[FactorModel, ...]
-    quandle: bool
     factor_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
     successors: Mapping[str | None, tuple[str, ...]] = field(
         init=False, compare=False, repr=False
@@ -92,14 +92,16 @@ class FreeProductRack:
         for name in names:
             if not _FACTOR_NAME.match(name):
                 raise ValueError(f"bad factor name {name!r}")
-        if self.quandle and not all(f.is_quandle for f in self.factors):
-            raise ValueError("quandle flag requires every factor to be a quandle")
         successors = MappingProxyType(
             {prev: tuple(n for n in names if n != prev) for prev in (None, *names)}
         )
         object.__setattr__(self, "factor_names", names)
         object.__setattr__(self, "successors", successors)
         object.__setattr__(self, "_models", dict(zip(names, self.factors)))
+
+    @property
+    def quandle(self) -> bool:
+        return all(f.is_quandle for f in self.factors)
 
     def model(self, name: str) -> FactorModel:
         try:
@@ -112,22 +114,20 @@ def free_rack(names: Sequence[str]) -> FreeProductRack:
     """The free rack on the given letters, as a free product of one-generator
     free racks; the adjoint group is the free group on the letters."""
     factors = tuple(FreeRackFactorModel(n, f"{n}.0") for n in names)
-    return FreeProductRack(factors, quandle=False)
+    return FreeProductRack(factors)
 
 
 def free_quandle(names: Sequence[str]) -> FreeProductRack:
     """The free quandle on the given letters (one-element trivial quandles)."""
     factors = tuple(trivial_rack_model(1, factor=n) for n in names)
-    return FreeProductRack(factors, quandle=True)
+    return FreeProductRack(factors)
 
 
 def trivial_product(sizes: Mapping[str, int]) -> FreeProductRack:
-    """Free product of trivial racks of the given sizes, e.g. {"a": 2, "b": 3}.
-
-    Trivial racks are quandles, so the result carries the quandle flag.
-    """
+    """Free product of trivial racks of the given sizes, e.g. {"a": 2, "b": 3};
+    trivial racks are quandles, so the result is a quandle."""
     factors = tuple(trivial_rack_model(n, factor=name) for name, n in sizes.items())
-    return FreeProductRack(factors, quandle=True)
+    return FreeProductRack(factors)
 
 
 @dataclass(frozen=True)

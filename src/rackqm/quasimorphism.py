@@ -14,9 +14,10 @@ integer evaluator ``v -> D * lambda(v)``.  Sums, junction terms and defect
 comparisons run on those integer numerators (scaling by D > 0 keeps every
 order); a ``Fraction`` is built only where a value leaves the module.
 
-Every defect and cocycle check is computed at the junction where two reduced
-words meet (:func:`_junction`); re-summing whole words with :func:`rolli_qm`
-and :func:`rack_qm` gives the same values and is kept as the tests' oracle.
+Every defect estimate and every sampled check of the bounded 2-cochain
+``phi(p) - phi(p <| q)`` is computed at the junction where two reduced words
+meet (:func:`_junction`); re-summing whole words with :func:`rolli_qm` and
+:func:`rack_qm` gives the same values and is kept as the tests' oracle.
 
 The homogeneous route is also provided: Brooks counting quasimorphisms on
 free-group words, numeric homogenization with certified interval arithmetic
@@ -36,8 +37,8 @@ from .free_product import (
     FreeProductElement,
     FreeProductRack,
     SyllableWord,
-    concat_words,  # concat_words and rack_op are not called here; the
-    rack_op,  # benchmark's tracer patches them on this module
+    concat_words,  # not called here; the benchmark's tracer patches it on this module
+    rack_op,
     render_value,
 )
 from .racks import GroupTable
@@ -66,6 +67,9 @@ __all__ = [
     "DefectEstimate",
     "group_defect_estimate",
     "rack_defect_estimate",
+    "check_cocycle_diag",
+    "Bounded2CocycleReport",
+    "bounded_2cocycle_check",
     "UnboundednessWitness",
     "find_unboundedness_witness",
     "witness_growth_table",
@@ -526,6 +530,64 @@ def rack_defect_estimate(
             best = defect
             witness = (p.render(), q.render())
     return DefectEstimate(Fraction(best, family.denominator), witness, config.samples)
+
+
+def check_cocycle_diag(
+    family: LambdaFamily, config: SamplerConfig = SamplerConfig()
+) -> tuple[bool, int]:
+    """Diagonal of the quasimorphism coboundary: sampled reduced p must give
+    ``phi(p) - phi(p <| p) = 0`` exactly.  Returns (all zero, samples)."""
+    rng = make_rng(config)
+    for i in range(config.samples):
+        p = sample_element(family.parent, rng, config.max_syllables, config.max_exponent)
+        if _increment(family, p, p):
+            return False, i + 1
+    return True, config.samples
+
+
+@dataclass(frozen=True)
+class Bounded2CocycleReport:
+    max_observed: Fraction
+    bound: Fraction
+    pairs: int
+    dd_triples: int
+    dd_all_zero: bool
+
+
+def bounded_2cocycle_check(
+    family: LambdaFamily,
+    config: SamplerConfig = SamplerConfig(),
+    dd_triples: int = 1000,
+) -> Bounded2CocycleReport:
+    """Sample the 2-cochain ``F(p, q) = phi(p) - phi(p <| q)``.
+
+    Asserts the sup of ``|F|`` over the pairs of :func:`rack_defect_estimate`
+    stays within ``4 * ||lambda||_inf`` and that the degree-2 coboundary of F
+    vanishes pointwise on triples drawn from a fresh stream of the same seed:
+    ``F(p,r) - F(p,q) - F(p<|q, r) + F(p<|r, q<|r) = 0`` exactly.  F is
+    ``-1/D`` times the integer increment, so the sum is taken on increments.
+    """
+    parent = family.parent
+    bound = 4 * family.bound
+    worst = rack_defect_estimate(family, config).max_defect
+    if worst > bound:
+        raise AssertionError(f"observed |d phi| = {worst} exceeds the bound {bound}")
+
+    rng = make_rng(config)
+    all_zero = True
+    for _ in range(dd_triples):
+        p = sample_element(parent, rng, config.max_syllables, config.max_exponent)
+        q = sample_element(parent, rng, config.max_syllables, config.max_exponent)
+        r = sample_element(parent, rng, config.max_syllables, config.max_exponent)
+        if (
+            _increment(family, p, r)
+            - _increment(family, p, q)
+            - _increment(family, rack_op(p, q), r)
+            + _increment(family, rack_op(p, r), rack_op(q, r))
+        ):
+            all_zero = False
+            break
+    return Bounded2CocycleReport(worst, bound, config.samples, dd_triples, all_zero)
 
 
 @dataclass(frozen=True)

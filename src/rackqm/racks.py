@@ -219,6 +219,8 @@ def validate_group(
 
     if elements is None:
         elements = tuple(str(i) for i in range(n))
+    elif len(elements) != n:
+        raise GroupValidationError("element list length does not match table")
     return GroupTable(name, tuple(elements), tuple(rows), identity, tuple(inv))
 
 
@@ -347,6 +349,22 @@ def is_homomorphism(
 #  "kind": "rack"|"quandle"}  (0-based indices)
 
 
+def _check_types(table, elements, inverse=None) -> None:
+    """A wrong JSON type in a rack or group document is a ValueError: ``table``
+    is a list of lists of ints (bool and float excluded), ``elements`` a list
+    of strings and ``inverse`` a list of ints."""
+
+    def list_of(xs, kind: type) -> bool:  # type() rather than isinstance() rejects bool
+        return isinstance(xs, list) and all(type(x) is kind for x in xs)
+
+    if not (isinstance(table, list) and all(list_of(row, int) for row in table)):
+        raise ValueError("'table' must be a list of lists of integers")
+    if elements is not None and not list_of(elements, str):
+        raise ValueError("'elements' must be a list of strings")
+    if inverse is not None and not list_of(inverse, int):
+        raise ValueError("'inverse' must be a list of integers")
+
+
 def rack_from_dict(data: Mapping) -> FiniteRack:
     """Axiom failures raise RackValidationError; format problems plain ValueError."""
     try:
@@ -358,6 +376,7 @@ def rack_from_dict(data: Mapping) -> FiniteRack:
         raise ValueError(f"rack file is missing a field: {exc}")
     if kind not in ("rack", "quandle"):
         raise ValueError(f"kind must be 'rack' or 'quandle', got {kind!r}")
+    _check_types(table, elements)
     return validate_rack(table, elements=elements, name=name, kind_claim=kind)
 
 
@@ -380,11 +399,10 @@ def group_from_dict(data: Mapping) -> GroupTable:
         table = data["table"]
     except (TypeError, KeyError):
         raise GroupValidationError("group file needs a 'table' field")
+    elements, inverse = data.get("elements"), data.get("inverse")
+    _check_types(table, elements, inverse)
     return validate_group(
-        table,
-        elements=data.get("elements"),
-        name=data.get("name", "group"),
-        inverse=data.get("inverse"),
+        table, elements=elements, name=data.get("name", "group"), inverse=inverse
     )
 
 

@@ -83,16 +83,12 @@ class GroupWord:
         return GroupWord(tuple((n, -e) for n, e in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "GroupWord":
-        if n == 0:
-            return GroupWord()
-        base = self if n > 0 else self.inverse()
-        n = abs(n)
+        base = self if n >= 0 else self.inverse()
         result = GroupWord()
-        while n:
-            if n & 1:
+        for bit in bin(abs(n))[2:]:  # high bit first: every product is a power g^m, m <= |n|
+            result = result * result
+            if bit == "1":
                 result = result * base
-            base = base * base
-            n >>= 1
         return result
 
     def length(self) -> int:

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 from rackqm.certify import independence_certificate
-from rackqm.cochain import check_cocycle_diag, coboundary_products_vanish, cohomology_dims
+from rackqm.cochain import coboundary_products_vanish, cohomology_dims
 from rackqm.free_product import (
     equal,
     free_quandle,
@@ -21,6 +21,7 @@ from rackqm.quasimorphism import (
     TableComponent,
     LambdaFamily,
     brooks,
+    check_cocycle_diag,
     exponent_sum_hom,
     find_unboundedness_witness,
     group_defect_estimate,

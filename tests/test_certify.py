@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from rackqm.certify import boundedness_refutation, independence_certificate
-from rackqm.cochain import check_cocycle_diag
 from rackqm.free_product import free_quandle, free_rack, parse_element, trivial_product
 from rackqm.quasimorphism import (
     QmError,
     Sigma,
+    check_cocycle_diag,
     family_from_dict,
     format_fraction,
     iota_family,

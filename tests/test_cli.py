@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -260,6 +261,7 @@ HOMOGENIZE = ("qm", "homogenize", "--word", "a b", "--target", "a b", "--defect-
     [
         (*HOMOGENIZE, "--doublings", "-3"),
         (*HOMOGENIZE, "--samples", "-4"),
+        (*HOMOGENIZE, "--defect-bound", "-1"),
         # |target| * 2^doublings letters over the budget of 2^20
         (*HOMOGENIZE, "--doublings", "20"),
         (*HOMOGENIZE, "--doublings", "30"),
@@ -274,6 +276,47 @@ def test_qm_homogenize_rejects_bad_numeric_input(args):
     result = run_cli(*args)
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith(f"error: {args[-2]}")
+
+
+def test_qm_homogenize_at_the_letter_budget():
+    # the last power, (a b)^(2^19), has 2^20 letters; the output is unchanged
+    # from the power that also built (a b)^(2^20)
+    result = run_cli(*HOMOGENIZE, "--doublings", "19", "--samples", "0")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        f"N = {2**k}: center 1, radius {Fraction(2, 2**k)}" for k in range(20)
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        ("rack check", {"table": 5}),
+        ("rack check", {"table": [1, 2]}),
+        ("rack check", {"table": [[0]], "elements": 5}),
+        ("qm v0dim", {"table": [1]}),
+        ("qm v0dim", {"table": [[0, 1], [1, 0.0]]}),
+        ("qm v0dim", {"table": [[0]], "inverse": 5}),
+        ("qm v0dim", {"table": [[0]], "elements": ["e", "f"]}),
+    ],
+    ids=lambda value: value if isinstance(value, str) else json.dumps(value),
+)
+def test_malformed_rack_and_group_json_exits_2(tmp_path, command, document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    result = run_cli(*command.split(), str(path))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: "), result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_directory_paths_exit_2(tmp_path, rack_file):
+    for args in (("rack", "check", str(tmp_path)),
+                 ("rack", "presentation", rack_file, "-o", str(tmp_path))):
+        result = run_cli(*args)
+        assert result.returncode == 2, (args, result.stderr)
+        assert result.stderr.startswith("error: "), (args, result.stderr)
+        assert "Traceback" not in result.stderr
 
 
 DEFECT_FLAGS = ("--exhaustive", "--seed", "--samples", "--max-syllables", "--max-exponent")

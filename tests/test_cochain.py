@@ -1,3 +1,4 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,8 +9,6 @@ from rackqm.cochain import (
     Cochain,
     CochainCapError,
     apply_coboundary,
-    bounded_2cocycle_check,
-    check_cocycle_diag,
     coboundary,
     coboundary_products_vanish,
     cohomology_dims,
@@ -19,7 +18,14 @@ from rackqm.cochain import (
 )
 from rackqm.free_product import free_quandle, free_rack, trivial_product
 from rackqm.linalg import exact_rank, sparse_matmul
-from rackqm.quasimorphism import Sigma, iota_family, sign_family, zero_family
+from rackqm.quasimorphism import (
+    Sigma,
+    bounded_2cocycle_check,
+    check_cocycle_diag,
+    iota_family,
+    sign_family,
+    zero_family,
+)
 from rackqm.racks import (
     builtin_racks,
     components,
@@ -391,3 +397,18 @@ def test_zero_family_2cocycle_is_zero():
         zero_family(fr), config=SamplerConfig(seed=0, samples=300), dd_triples=50
     )
     assert report.max_observed == 0
+
+
+def test_cochain_imports_only_the_finite_rack_layers():
+    # the sampled checks on free products live in rackqm.quasimorphism
+    import rackqm.cochain as cochain_mod
+
+    with open(cochain_mod.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {name for name in imported if name.startswith((".", "rackqm"))} == {".linalg", ".racks"}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rackqm.adjoint import scale
 from rackqm.free_product import (
     FreeProductElement,
+    FreeProductRack,
     conjugate_form,
     equal,
     factorize,
@@ -317,6 +318,16 @@ def test_parse_rejects_garbage():
         parse_element(FR, "c.0 | a.0")
     with pytest.raises(ValueError):
         parse_element(T23, "a.7 | b.0")
+
+
+def test_quandle_is_derived_from_the_factors():
+    assert (FR.quandle, FQ.quandle, T23.quandle) == (False, True, True)
+    mixed = FreeProductRack(FR.factors[:1] + FQ.factors[1:])
+    assert not mixed.quandle
+    assert FreeProductRack(FQ.factors) == FQ and hash(FreeProductRack(FQ.factors)) == hash(FQ)
+    assert FR != FQ
+    with pytest.raises(TypeError):
+        FreeProductRack(FQ.factors, quandle=True)
 
 
 def test_parent_constructors_validate():

@@ -26,7 +26,6 @@ import rackqm.certify as certify_mod
 import rackqm.quasimorphism as qm_mod
 from rackqm.adjoint import scale
 from rackqm.certify import independence_certificate
-from rackqm.cochain import Bounded2CocycleReport, bounded_2cocycle_check, check_cocycle_diag
 from rackqm.free_product import (
     concat_words,
     free_quandle,
@@ -36,6 +35,7 @@ from rackqm.free_product import (
     trivial_product,
 )
 from rackqm.quasimorphism import (
+    Bounded2CocycleReport,
     DefectEstimate,
     IotaComponent,
     LambdaFamily,
@@ -44,6 +44,8 @@ from rackqm.quasimorphism import (
     TableComponent,
     UnboundednessWitness,
     ZeroComponent,
+    bounded_2cocycle_check,
+    check_cocycle_diag,
     find_unboundedness_witness,
     group_defect_estimate,
     iota_family,
@@ -198,6 +200,7 @@ def test_junction_paths_never_resum_whole_words(monkeypatch):
 
     monkeypatch.setattr(qm_mod, "concat_words", refuse)
     monkeypatch.setattr(qm_mod, "rolli_qm", refuse)
+    monkeypatch.setattr(qm_mod, "rack_qm_increment", refuse)
     family = sign_family(PARENTS["FR"])
     group_defect_estimate(family, CONFIG, 2, 2)
     check_cocycle_diag(family, CONFIG)

@@ -97,6 +97,24 @@ def test_power_matches_repeated_product(w, n):
     assert w**n == direct
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 64, -6, -32])
+def test_power_never_builds_past_the_result(monkeypatch, n):
+    g = parse_word("a b")
+    longest = 0
+    multiply = GroupWord.__mul__
+
+    def recording(self, other):
+        nonlocal longest
+        product = multiply(self, other)
+        longest = max(longest, product.length())
+        return product
+
+    monkeypatch.setattr(GroupWord, "__mul__", recording)
+    power = g**n
+    assert power.length() == 2 * abs(n)
+    assert longest <= power.length()
+
+
 @given(words, words)
 def test_abelianization_is_multiplicative_and_commutative(u, v):
     joined = AbelianWord(abelianize(u).exponents + abelianize(v).exponents)
