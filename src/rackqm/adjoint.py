@@ -115,13 +115,14 @@ class TrivialRackModel:
         return key
 
     def sample_key(self, rng: random.Random, bound: int) -> int:
-        return rng.randrange(self.rank)
+        return _below(rng.getrandbits, self.rank)
 
     def sample_value(self, rng: random.Random, max_exponent: int) -> Value:
         """A uniformly random nonzero value with exponents in [-max, max]."""
         _check_max_exponent(max_exponent)
-        while True:
-            value = tuple([rng.randint(-max_exponent, max_exponent) for _ in range(self.rank)])
+        getrandbits, width, rank = rng.getrandbits, 2 * max_exponent + 1, self.rank
+        while True:  # randint(-max, max) per entry, until one is nonzero
+            value = tuple([_below(getrandbits, width) - max_exponent for _ in range(rank)])
             if any(value):
                 return value
 
@@ -174,11 +175,15 @@ class FreeRackFactorModel:
         return key
 
     def sample_key(self, rng: random.Random, bound: int) -> int:
-        return rng.randint(-bound, bound)
+        if bound < 0:
+            raise ValueError(f"bound must be at least 0, got {bound}")
+        return _below(rng.getrandbits, 2 * bound + 1) - bound  # randint(-bound, bound)
 
     def sample_value(self, rng: random.Random, max_exponent: int) -> Value:
         _check_max_exponent(max_exponent)
-        return (rng.randint(1, max_exponent) * rng.choice((1, -1)),)
+        getrandbits = rng.getrandbits
+        # randint(1, max) times choice((1, -1)), drawn in that order
+        return ((1 + _below(getrandbits, max_exponent)) * (1, -1)[_below(getrandbits, 2)],)
 
     def enumerate_values(self, max_exponent: int) -> Iterator[Value]:
         for exp in range(-max_exponent, max_exponent + 1):
@@ -189,6 +194,26 @@ class FreeRackFactorModel:
 def scale(value: Value, k: int) -> Value:
     """``value ** k``: every exponent times k (k = -1 gives the inverse)."""
     return tuple([k * e for e in value])
+
+
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n) from ``getrandbits``, a ``Random``'s bound method.
+
+    It makes exactly the draws of CPython 3.11's
+    ``Random._randbelow_with_getrandbits``: ``getrandbits(n.bit_length())``
+    until the result is below n.  So on the same generator
+    ``a + _below(gb, b - a + 1)`` is ``randint(a, b)``, ``_below(gb, n)`` is
+    ``randrange(n)`` and ``seq[_below(gb, len(seq))]`` is ``choice(seq)``,
+    without their argument checks.  Every sampler in the library draws
+    through it.
+    """
+    if n < 1:  # getrandbits(0) is always 0, and nothing is below n < 1
+        raise ValueError(f"empty range: cannot draw below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _check_max_exponent(max_exponent: int) -> None:

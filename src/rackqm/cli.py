@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import cochain as cochain_mod
 from . import free_product as fp
 from . import quasimorphism as qm
-from .adjoint import presentation
+from .adjoint import _below, presentation
 from .certify import boundedness_refutation, independence_certificate
 from .racks import RackValidationError, components, load_group, load_rack
 from .sampling import SamplerConfig
@@ -349,10 +349,13 @@ def cmd_qm_homogenize(args) -> int:
 
 
 def _random_group_word(rng, alphabet, syllables: int, max_exp: int) -> GroupWord:
+    # the draws of randint(0, syllables), then per syllable choice(alphabet),
+    # randint(1, max_exp) and choice((1, -1))
+    getrandbits = rng.getrandbits
     out = []
-    for _ in range(rng.randint(0, syllables)):
-        name = rng.choice(alphabet)
-        exp = rng.randint(1, max_exp) * rng.choice((1, -1))
+    for _ in range(_below(getrandbits, syllables + 1)):
+        name = alphabet[_below(getrandbits, len(alphabet))]
+        exp = (1 + _below(getrandbits, max_exp)) * (1, -1)[_below(getrandbits, 2)]
         out.append((name, exp))
     return GroupWord(tuple(out))
 

@@ -349,14 +349,16 @@ def is_homomorphism(
 #  "kind": "rack"|"quandle"}  (0-based indices)
 
 
-def _check_types(table, elements, inverse=None) -> None:
-    """A wrong JSON type in a rack or group document is a ValueError: ``table``
-    is a list of lists of ints (bool and float excluded), ``elements`` a list
-    of strings and ``inverse`` a list of ints."""
+def _check_types(name, table, elements, inverse=None) -> None:
+    """A wrong JSON type in a rack or group document is a ValueError: ``name``
+    is a string, ``table`` a list of lists of ints (bool and float excluded),
+    ``elements`` a list of strings and ``inverse`` a list of ints."""
 
     def list_of(xs, kind: type) -> bool:  # type() rather than isinstance() rejects bool
         return isinstance(xs, list) and all(type(x) is kind for x in xs)
 
+    if not isinstance(name, str):
+        raise ValueError("'name' must be a string")
     if not (isinstance(table, list) and all(list_of(row, int) for row in table)):
         raise ValueError("'table' must be a list of lists of integers")
     if elements is not None and not list_of(elements, str):
@@ -367,16 +369,18 @@ def _check_types(table, elements, inverse=None) -> None:
 
 def rack_from_dict(data: Mapping) -> FiniteRack:
     """Axiom failures raise RackValidationError; format problems plain ValueError."""
+    if not isinstance(data, Mapping):
+        raise ValueError("the top level of a rack file must be a JSON object")
     try:
         table = data["table"]
-        elements = data.get("elements")
-        kind = data.get("kind", "rack")
-        name = data.get("name", "rack")
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise ValueError(f"rack file is missing a field: {exc}")
+    elements = data.get("elements")
+    kind = data.get("kind", "rack")
+    name = data.get("name", "rack")
     if kind not in ("rack", "quandle"):
         raise ValueError(f"kind must be 'rack' or 'quandle', got {kind!r}")
-    _check_types(table, elements)
+    _check_types(name, table, elements)
     return validate_rack(table, elements=elements, name=name, kind_claim=kind)
 
 
@@ -395,15 +399,16 @@ def load_rack(path: str | Path) -> FiniteRack:
 
 
 def group_from_dict(data: Mapping) -> GroupTable:
+    if not isinstance(data, Mapping):
+        raise ValueError("the top level of a group file must be a JSON object")
     try:
         table = data["table"]
-    except (TypeError, KeyError):
+    except KeyError:
         raise GroupValidationError("group file needs a 'table' field")
     elements, inverse = data.get("elements"), data.get("inverse")
-    _check_types(table, elements, inverse)
-    return validate_group(
-        table, elements=elements, name=data.get("name", "group"), inverse=inverse
-    )
+    name = data.get("name", "group")
+    _check_types(name, table, elements, inverse)
+    return validate_group(table, elements=elements, name=name, inverse=inverse)
 
 
 def load_group(path: str | Path) -> GroupTable:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .adjoint import Value
+from .adjoint import Value, _below
 from .free_product import FreeProductElement, FreeProductRack, SyllableWord
 
 __all__ = [
@@ -56,13 +56,17 @@ def sample_syllable_word(
     """A random alternating word of up to ``max_syllables`` syllables;
     ``avoid_leading`` (a factor of ``parent``) keeps the first syllable out
     of that factor."""
-    length = rng.randint(0, max_syllables)
+    if max_syllables < 0:
+        raise ValueError(f"max_syllables must be at least 0, got {max_syllables}")
+    getrandbits = rng.getrandbits
+    length = _below(getrandbits, max_syllables + 1)
     choices = parent.successors
     model = parent.model
     syllables: list[tuple[str, Value]] = []
     previous = avoid_leading
     for _ in range(length):
-        name = rng.choice(choices[previous])
+        options = choices[previous]
+        name = options[_below(getrandbits, len(options))]
         syllables.append((name, model(name).sample_value(rng, max_exponent)))
         previous = name
     return SyllableWord(tuple(syllables))
@@ -75,7 +79,8 @@ def sample_element(
     max_exponent: int,
 ) -> FreeProductElement:
     """A random reduced element with bounded tail; already canonical."""
-    factor = rng.choice(parent.factor_names)
+    names = parent.factor_names
+    factor = names[_below(rng.getrandbits, len(names))]
     model = parent.model(factor)
     key = model.sample_key(rng, max_exponent)
     tail = sample_syllable_word(

@@ -298,6 +298,11 @@ def test_qm_homogenize_at_the_letter_budget():
         ("qm v0dim", {"table": [[0, 1], [1, 0.0]]}),
         ("qm v0dim", {"table": [[0]], "inverse": 5}),
         ("qm v0dim", {"table": [[0]], "elements": ["e", "f"]}),
+        ("rack check", {"table": [[0]], "name": [1]}),
+        ("rack check", {"table": [[0]], "name": 5}),
+        ("rack check", []),
+        ("qm v0dim", {"table": [[0]], "name": 5}),
+        ("qm v0dim", []),
     ],
     ids=lambda value: value if isinstance(value, str) else json.dumps(value),
 )
@@ -308,6 +313,10 @@ def test_malformed_rack_and_group_json_exits_2(tmp_path, command, document):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: "), result.stderr
     assert "Traceback" not in result.stderr
+    if not isinstance(document, dict):
+        assert "must be a JSON object" in result.stderr, result.stderr
+    elif "name" in document:
+        assert "'name' must be a string" in result.stderr, result.stderr
 
 
 def test_directory_paths_exit_2(tmp_path, rack_file):
