@@ -4,6 +4,14 @@ Every randomized estimate in the library draws through a
 :class:`SamplerConfig`, so runs are reproducible by seed.  Samplers emit
 values already in canonical form (alternating factors, nonzero values),
 which keeps the hot paths allocation-light.
+
+The stream is part of the contract: samplers take a plain
+:class:`random.Random`, and every integer they draw is exactly the draw that
+CPython 3.11's ``randint``, ``randrange`` or ``choice`` would make on that
+generator.  They draw through ``adjoint._below``, which calls
+``getrandbits`` as ``Random._randbelow`` does but skips the argument
+checks, so seeded witnesses and CLI output do not depend on which of the two
+made the draw.
 """
 
 from __future__ import annotations
