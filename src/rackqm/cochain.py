@@ -10,10 +10,14 @@ is the alternating sum
 with ``d^n = 0`` for n <= 0; in particular ``(d^1 f)(x, y) = f(x) - f(x<|y)``.
 Each d^n is built once, as sparse integer rows ``{column: coefficient}``
 over the coordinates it is ranked on, and cohomology dimensions come from
-exact ranks of those rows.  For quandles the quandle complex is computed on
-the coordinates indexed by nondegenerate tuples (no adjacent repeats), i.e.
-the subcomplex of cochains vanishing on degenerate tuples; degrees <= 1 have
-no degeneracy constraint.
+exact ranks of those rows.  The rows are built by arithmetic on tuple
+indices, never on tuples: dropping x_i leaves head index h and tail index t
+of a row index ``(h*|X| + x_i) * |X|^(n+1-i) + t``, the dropped term is at
+``h*|X|^(n+1-i) + t``, and acting on the head by x_i is one lookup in a table
+of head indices built once per call (see ``_delta_rows``).  For quandles
+the quandle complex is computed on the coordinates indexed by nondegenerate
+tuples (no adjacent repeats), i.e. the subcomplex of cochains vanishing on
+degenerate tuples; degrees <= 1 have no degeneracy constraint.
 
 Every cochain on a finite rack is bounded, so the bounded and ordinary
 complexes coincide here.
@@ -23,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .linalg import exact_rank, sparse_matmul
 from .racks import FiniteRack
@@ -97,38 +100,73 @@ def _check_cap(rack: FiniteRack, degree: int, cap: int) -> None:
         )
 
 
-def _is_nondegenerate(xs: tuple[int, ...]) -> bool:
-    return all(a != b for a, b in zip(xs, xs[1:]))
-
-
 def _delta_rows(
-    rack: FiniteRack, degree: int, keep: Callable[[tuple[int, ...]], bool]
-) -> list[dict[int, int]]:
-    """Sparse rows of d^degree (degree >= 0) on the tuples ``keep`` selects.
+    rack: FiniteRack, degree: int, quandle: bool
+) -> tuple[list[int] | range, list[int], list[dict[int, int]]]:
+    """Sparse rows of d^degree (degree >= 0), by index arithmetic on tuples.
 
-    Rows and columns are the kept (degree+1)- and degree-tuples in index
-    order; a term at a tuple that is not kept is dropped.  A face whose
-    acted tuple equals the dropped one cancels and is skipped.
+    Returns (row indices, column indices, rows) as ``quandle_coboundary``
+    does: all tuples in rack mode, the nondegenerate ones in quandle mode,
+    where a term at a degenerate column tuple is dropped.  Row r is the
+    (degree+1)-tuple of index r.  For the face dropping x_(i+1) write
+    ``r = (h*n + y) * T + t`` with ``T = n^(degree-i)``: head index h (the
+    first i entries), acting element y and tail index t.  The dropped term
+    sits at column ``h*T + t`` and the acted term at ``act_i[h*n + y]*T + t``,
+    where ``act_i[h*n + y]`` is the index of the head acted on by y; the
+    tables grow by ``act_i[h*n + y] = act_(i-1)[(h // n)*n + y]*n +
+    table[h % n][y]``, and the last face (T = 1) computes its acted head from
+    ``act_(degree-1)`` instead of storing a table n^(degree+1) long.  A face
+    whose acted head equals its head cancels and is skipped; the face
+    dropping x_1 has an empty head and always does.  Column keys come from
+    the one list ``col`` (tuple index -> column position, -1 if not a
+    column), so every row shares the same int objects.
     """
     n, table = rack.size, rack.table
-    where = {
-        xs: j for j, xs in enumerate(filter(keep, product(range(n), repeat=degree)))
-    }.get
-    out = []
-    for xs in filter(keep, product(range(n), repeat=degree + 1)):
+    if quandle:
+        row_idx: list[int] | range = nondegenerate_indices(degree + 1, n)
+        col_idx = nondegenerate_indices(degree, n)
+        col = [-1] * n**degree
+        for j, c in enumerate(col_idx):
+            col[c] = j
+    else:
+        row_idx = range(n ** (degree + 1))
+        col_idx = col = list(range(n**degree))
+    acts = [[0] * n]  # act_0: the empty head, whatever acts on it
+    for i in range(1, degree):
+        prev = acts[-1]
+        acts.append(
+            [prev[(h // n) * n + y] * n + table[h % n][y] for h in range(n**i) for y in range(n)]
+        )
+    # (sign, T, act_i) for the faces dropping x_2 .. x_(degree+1); the sign is
+    # (-1)^(i+1) and the last face's table is None
+    faces = [
+        (1 if i % 2 else -1, n ** (degree - i), acts[i] if i < degree else None)
+        for i in range(1, degree + 1)
+    ]
+    last = acts[-1]
+    rows = []
+    for r in row_idx:
         row: dict[int, int] = {}
-        for i in range(degree + 1):
-            sign = 1 if i % 2 else -1  # (-1)^(i+1) for the face dropping x_(i+1)
-            head, y, tail = xs[:i], xs[i], xs[i + 1 :]
-            acted_head = tuple([table[x][y] for x in head])
-            if acted_head == head:
+        for sign, size, act in faces:
+            q = r // size
+            h = q // n
+            if act is None:  # the last face: q = r = h*n + y
+                a = last[(h // n) * n + q % n] * n + table[h % n][q % n]
+            else:
+                a = act[q]
+            if a == h:
                 continue
-            for ys, term in ((head + tail, sign), (acted_head + tail, -sign)):
-                j = where(ys)
-                if j is not None:
-                    row[j] = row.get(j, 0) + term
-        out.append({j: v for j, v in row.items() if v})
-    return out
+            t = r - q * size
+            j = col[h * size + t]  # the dropped term, then the acted one
+            if j >= 0:
+                row[j] = row.get(j, 0) + sign
+            j = col[a * size + t]
+            if j >= 0:
+                row[j] = row.get(j, 0) - sign
+        if 0 in row.values():
+            row = {j: v for j, v in row.items() if v}
+        rows.append(row)
+    return row_idx, col_idx, rows
 
 
 def coboundary(rack: FiniteRack, degree: int, cap: int = DEFAULT_CAP) -> CoboundaryMatrix:
@@ -136,7 +174,7 @@ def coboundary(rack: FiniteRack, degree: int, cap: int = DEFAULT_CAP) -> Cobound
     _check_cap(rack, max(degree, 0), cap)
     if degree < 0:
         return CoboundaryMatrix(degree, 0, 0, ())
-    rows = _delta_rows(rack, degree, lambda xs: True)
+    _, _, rows = _delta_rows(rack, degree, False)
     return CoboundaryMatrix(degree, len(rows), rack.size**degree, tuple(rows))
 
 
@@ -151,12 +189,16 @@ def apply_coboundary(matrix: CoboundaryMatrix, cochain: Cochain) -> Cochain:
 
 
 def nondegenerate_indices(degree: int, size: int) -> list[int]:
-    """Indices of tuples with no adjacent repeat ``x_i = x_{i+1}``."""
-    return [
-        idx
-        for idx, xs in enumerate(product(range(size), repeat=degree))
-        if _is_nondegenerate(xs)
-    ]
+    """Indices of tuples with no adjacent repeat ``x_i = x_{i+1}``, in order:
+    each degree extends the last by one entry that differs from its end."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if degree == 0:
+        return [0]  # the empty tuple
+    indices = list(range(size))
+    for _ in range(degree - 1):
+        indices = [i * size + x for i in indices for x in range(size) if x != i % size]
+    return indices
 
 
 def quandle_coboundary(
@@ -173,11 +215,7 @@ def quandle_coboundary(
     _check_cap(rack, max(degree, 0), cap)
     if degree < 0:
         return [], [], []
-    return (
-        nondegenerate_indices(degree + 1, rack.size),
-        nondegenerate_indices(degree, rack.size),
-        _delta_rows(rack, degree, _is_nondegenerate),
-    )
+    return _delta_rows(rack, degree, True)
 
 
 def cohomology_dims(

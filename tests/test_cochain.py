@@ -8,6 +8,7 @@ import pytest
 from rackqm.cochain import (
     Cochain,
     CochainCapError,
+    _delta_rows,
     apply_coboundary,
     coboundary,
     coboundary_products_vanish,
@@ -103,6 +104,54 @@ def test_quandle_coboundary_matches_sliced_oracle():
             assert densify(rows, len(col_idx)) == [
                 [full[r][c] for c in col_idx] for r in row_idx
             ]
+
+
+# two racks that are not quandles: x <| y = x + 1 on two and on three points
+NON_QUANDLES = (
+    validate_rack([[1, 1], [0, 0]]),
+    validate_rack([[(x + 1) % 3] * 3 for x in range(3)]),
+)
+
+
+def _oracle_degrees(rack):
+    # degrees 1 and 2 of the built-ins are checked above
+    return (3, 4) if rack.size <= 3 else (3,)
+
+
+def test_coboundary_matches_oracle_at_degrees_three_and_four():
+    for rack in builtin_racks() + list(NON_QUANDLES):
+        for n in _oracle_degrees(rack):
+            matrix = coboundary(rack, n)
+            assert all(0 not in row.values() for row in matrix.entries)
+            assert densify(matrix.entries, matrix.cols) == oracle_delta(rack, n), (rack.name, n)
+
+
+def test_quandle_mode_rows_match_sliced_oracle_at_degrees_three_and_four():
+    # the builder's quandle mode restricts to nondegenerate tuples whether or
+    # not the rack is a quandle; quandle_coboundary only asks for a quandle
+    for rack in builtin_racks() + list(NON_QUANDLES):
+        for n in _oracle_degrees(rack):
+            row_idx, col_idx, rows = _delta_rows(rack, n, True)
+            if rack.quandle:
+                assert quandle_coboundary(rack, n) == (row_idx, col_idx, rows)
+            assert row_idx == nondegenerate_indices(n + 1, rack.size)
+            assert col_idx == nondegenerate_indices(n, rack.size)
+            assert all(0 not in row.values() for row in rows), (rack.name, n)
+            full = oracle_delta(rack, n)
+            assert densify(rows, len(col_idx)) == [
+                [full[r][c] for c in col_idx] for r in row_idx
+            ], (rack.name, n)
+
+
+def test_nondegenerate_indices_match_the_tuple_filter():
+    for size in (1, 2, 3, 4):
+        for degree in range(5):
+            expected = [
+                tuple_index(xs, size)
+                for xs in product(range(size), repeat=degree)
+                if all(a != b for a, b in zip(xs, xs[1:]))
+            ]
+            assert nondegenerate_indices(degree, size) == expected, (size, degree)
 
 
 def test_degree_one_formula_dihedral():
@@ -206,6 +255,27 @@ def test_exact_rank_matches_fraction_oracle_on_coboundaries():
                 assert exact_rank(rows) == _fraction_rank(rows), (rack.name, k, mode)
 
 
+def test_pivot_order_does_not_change_the_rank():
+    # exact_rank keys pivots by the last column and _fraction_rank by the
+    # first; reversing the rows or permuting the columns changes the order
+    # of elimination again, never the rank
+    rng = random.Random(13)
+    for rack in builtin_racks():
+        for k in range(4):
+            for mode, rows in (
+                ("rack", coboundary(rack, k).entries),
+                ("quandle", quandle_coboundary(rack, k)[2]),
+            ):
+                cols = 1 + max((j for row in rows for j in row), default=0)
+                perm = list(range(cols))
+                rng.shuffle(perm)
+                permuted = [{perm[j]: v for j, v in row.items()} for row in rows]
+                rank = exact_rank(rows)
+                assert rank == _fraction_rank(rows), (rack.name, k, mode)
+                assert exact_rank(rows[::-1]) == rank, (rack.name, k, mode)
+                assert exact_rank(permuted) == rank, (rack.name, k, mode)
+
+
 def test_exact_rank_of_rank_deficient_products_against_sympy():
     # A (rows x r) . B (r x cols) with r < min(rows, cols): rank at most r, so
     # the elimination has to find the dependent rows; large entries make the
@@ -295,6 +365,26 @@ def test_quandle_mode_dims_through_degree_four():
     assert sorted(r.name for r in racks) == sorted(QUANDLE_DIMS_TO_4)
     for rack in racks:
         assert cohomology_dims(rack, 4, quandle_mode=True) == QUANDLE_DIMS_TO_4[rack.name]
+
+
+# Quandle-mode dim H^5 at size <= 4, regression values as above: each extends
+# its rack's row of QUANDLE_DIMS_TO_4 by one term
+QUANDLE_DIM_5 = {
+    "T1": 0,
+    "T2": 2,
+    "T3": 48,
+    "R3": 0,
+    "R4": 2,
+    "Conj(Z4)": 324,
+}
+
+
+def test_quandle_mode_dims_at_degree_five():
+    racks = builtin_racks(max_size=4)
+    assert sorted(r.name for r in racks) == sorted(QUANDLE_DIM_5)
+    for rack in racks:
+        expected = QUANDLE_DIMS_TO_4[rack.name] + [QUANDLE_DIM_5[rack.name]]
+        assert cohomology_dims(rack, 5, quandle_mode=True) == expected, rack.name
 
 
 def test_trivial_rack_dimensions():
