@@ -72,7 +72,7 @@ from .quasimorphism import (
 )
 from .cochain import (
     Cochain,
-    CoboundaryMatrix,
+    Coboundary,
     coboundary,
     coboundary_products_vanish,
     cohomology_dims,

@@ -6,10 +6,12 @@ Exit codes: 0 success/verified, 1 violated invariant, 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import cochain as cochain_mod
 from . import free_product as fp
@@ -24,6 +26,7 @@ OK, INVARIANT_VIOLATED, INPUT_ERROR = 0, 1, 2
 
 HOMOGENIZE_LETTERS = 2**20  # letter budget of qm homogenize's pattern and of its longest power
 EXHAUSTIVE_WORDS = 10**6  # budget of factor values plus words qm defect --exhaustive enumerates
+CERTIFICATE_ENTRIES = 10**6  # budget of rank^2 matrix entries certify independence evaluates
 
 _FACTOR_REF = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\.")
 
@@ -42,26 +45,23 @@ def _parse_sizes(text: str) -> dict[str, int]:
     return sizes
 
 
-def build_parent(args, *texts: str) -> fp.FreeProductRack:
-    """Parent from flags, falling back to factor names mentioned in texts."""
-    if getattr(args, "sizes", None):
+def _mentioned(*texts: str) -> set[str]:
+    """The factor names that element texts refer to as ``name.``."""
+    return {name for text in texts for name in _FACTOR_REF.findall(text)}
+
+
+def build_parent(args, names: Iterable[str]) -> fp.FreeProductRack:
+    """Parent from flags, falling back to the given factor names, sorted."""
+    if args.factors and args.sizes:
+        raise CliInputError("--factors and --sizes both name the factors; pass one")
+    if args.sizes:
         return fp.trivial_product(_parse_sizes(args.sizes))
-    if getattr(args, "factors", None):
-        names = [n.strip() for n in args.factors.split(",")]
-    else:
-        mentioned: list[str] = []
-        for text in texts:
-            for name in _FACTOR_REF.findall(text):
-                if name not in mentioned:
-                    mentioned.append(name)
-        names = sorted(mentioned)
+    names = [n.strip() for n in args.factors.split(",")] if args.factors else sorted(set(names))
     if len(names) < 2:
         raise CliInputError(
             "need at least two factors; pass --factors or mention them in the input"
         )
-    if getattr(args, "quandle", False):
-        return fp.free_quandle(names)
-    return fp.free_rack(names)
+    return fp.free_quandle(names) if args.quandle else fp.free_rack(names)
 
 
 def _add_parent_flags(parser: argparse.ArgumentParser) -> None:
@@ -75,26 +75,20 @@ def _add_parent_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sampler_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=10_000)
-    parser.add_argument("--max-syllables", type=int, default=12)
-    parser.add_argument("--max-exponent", type=int, default=5)
+    for f in dataclasses.fields(SamplerConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
 
 
 def _sampler(args) -> SamplerConfig:
-    return SamplerConfig(
-        seed=args.seed,
-        samples=args.samples,
-        max_syllables=args.max_syllables,
-        max_exponent=args.max_exponent,
-    )
+    fields = dataclasses.fields(SamplerConfig)
+    return SamplerConfig(**{f.name: getattr(args, f.name) for f in fields})
 
 
 def _load_family(args, path: str, *texts: str):
     with open(path) as fh:
         data = json.load(fh)
-    factor_names = [entry["factor"] for entry in qm.family_entries(data)]
-    parent = build_parent(args, " ".join(f"{n}.0" for n in factor_names), *texts)
+    names = {entry["factor"] for entry in qm.family_entries(data)}
+    parent = build_parent(args, names | _mentioned(*texts))
     return parent, qm.family_from_dict(parent, data)
 
 
@@ -138,14 +132,11 @@ def cmd_rack_cohomology(args) -> int:
         raise CliInputError("--quandle requested but the input is not a quandle")
     dims = cochain_mod.cohomology_dims(rack, args.degree, quandle_mode=args.quandle)
     if args.dump_matrix:
-        if args.quandle:
-            _, col_idx, matrix = cochain_mod.quandle_coboundary(rack, args.degree)
-            cols = len(col_idx)
-        else:
-            full = cochain_mod.coboundary(rack, args.degree)
-            matrix, cols = full.entries, full.cols
-        print(f"# delta {args.degree} {len(matrix)} {cols if matrix else 0}")
-        for row in matrix:
+        build = cochain_mod.quandle_coboundary if args.quandle else cochain_mod.coboundary
+        d = build(rack, args.degree)
+        cols = len(d.col_idx)
+        print(f"# delta {args.degree} {len(d.entries)} {cols if d.entries else 0}")
+        for row in d.entries:
             print(" ".join(str(row.get(j, 0)) for j in range(cols)))
     if args.json:
         print(json.dumps({"dims": dims, "quandle_mode": args.quandle}))
@@ -179,7 +170,7 @@ def cmd_word_reduce(args) -> int:
 
 
 def cmd_fp_op(args) -> int:
-    parent = build_parent(args, args.p, args.q)
+    parent = build_parent(args, _mentioned(args.p, args.q))
     p = fp.parse_element(parent, args.p)
     q = fp.parse_element(parent, args.q)
     result = fp.rack_op(p, q, sign=-1 if args.inverse else 1)
@@ -188,7 +179,7 @@ def cmd_fp_op(args) -> int:
 
 
 def cmd_fp_equal(args) -> int:
-    parent = build_parent(args, args.p, args.q)
+    parent = build_parent(args, _mentioned(args.p, args.q))
     p = fp.parse_element(parent, args.p)
     q = fp.parse_element(parent, args.q)
     same = fp.equal(p, q)
@@ -374,9 +365,12 @@ def cmd_qm_v0dim(args) -> int:
 
 
 def cmd_certify_independence(args) -> int:
-    if not (args.factors or args.sizes):
-        args.factors = "a,b"
-    parent = build_parent(args)
+    if args.rank * args.rank > CERTIFICATE_ENTRIES:
+        raise CliInputError(
+            f"--rank {args.rank} evaluates {args.rank * args.rank} matrix entries, more than "
+            f"the budget of {CERTIFICATE_ENTRIES}"
+        )
+    parent = build_parent(args, ("a", "b"))
     cert = independence_certificate(parent, args.rank, args.n)
     if args.json:
         print(json.dumps(cert.to_dict(), indent=2))

@@ -8,11 +8,12 @@ is the alternating sum
                               - f(x_1<|x_i, .., x_{i-1}<|x_i, x_{i+1}, ..) ]
 
 with ``d^n = 0`` for n <= 0; in particular ``(d^1 f)(x, y) = f(x) - f(x<|y)``.
-Each d^n is built once, as sparse integer rows ``{column: coefficient}``
-over the coordinates it is ranked on, and cohomology dimensions come from
-exact ranks of those rows.  The rows are built by arithmetic on tuple
-indices, never on tuples: dropping x_i leaves head index h and tail index t
-of a row index ``(h*|X| + x_i) * |X|^(n+1-i) + t``, the dropped term is at
+Each d^n is built once, as a :class:`Coboundary`: the tuple indices of its
+rows and of its columns, and sparse integer rows ``{column: coefficient}``
+over those columns.  Cohomology dimensions come from exact ranks of the
+rows.  The rows are built by arithmetic on tuple indices, never on tuples:
+dropping x_i leaves head index h and tail index t of a row index
+``(h*|X| + x_i) * |X|^(n+1-i) + t``, the dropped term is at
 ``h*|X|^(n+1-i) + t``, and acting on the head by x_i is one lookup in a table
 of head indices built once per call (see ``_delta_rows``).  For quandles
 the quandle complex is computed on the coordinates indexed by nondegenerate
@@ -27,14 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import exact_rank, sparse_matmul
 from .racks import FiniteRack
 
 __all__ = [
     "Cochain",
-    "CoboundaryMatrix",
+    "Coboundary",
     "CochainCapError",
     "tuple_index",
     "coboundary",
@@ -82,15 +83,15 @@ class Cochain:
         return max((abs(v) for v in self.values), default=Fraction(0))
 
 
-@dataclass(frozen=True)
-class CoboundaryMatrix:
-    """Integer matrix of d^degree, shape |X|^(degree+1) x |X|^degree, as
-    sparse rows ``{column index: nonzero coefficient}``."""
+class Coboundary(NamedTuple):
+    """Integer matrix of d^degree: the tuple indices of its rows and of its
+    columns, in order, and one sparse row ``{column position: nonzero
+    coefficient}`` per row index.  The rack complex ranks every tuple, the
+    quandle complex the nondegenerate ones."""
 
-    degree: int
-    rows: int
-    cols: int
-    entries: tuple[dict[int, int], ...]
+    row_idx: Sequence[int]
+    col_idx: Sequence[int]
+    entries: list[dict[int, int]]
 
 
 def _check_cap(rack: FiniteRack, degree: int, cap: int) -> None:
@@ -100,14 +101,13 @@ def _check_cap(rack: FiniteRack, degree: int, cap: int) -> None:
         )
 
 
-def _delta_rows(
-    rack: FiniteRack, degree: int, quandle: bool
-) -> tuple[list[int] | range, list[int], list[dict[int, int]]]:
-    """Sparse rows of d^degree (degree >= 0), by index arithmetic on tuples.
+def _delta_rows(rack: FiniteRack, degree: int, quandle: bool) -> Coboundary:
+    """d^degree (degree >= 0), by index arithmetic on tuples.
 
-    Returns (row indices, column indices, rows) as ``quandle_coboundary``
-    does: all tuples in rack mode, the nondegenerate ones in quandle mode,
-    where a term at a degenerate column tuple is dropped.  Row r is the
+    Rows and columns are all tuples in rack mode and the nondegenerate ones
+    in quandle mode, where a term at a degenerate column tuple is dropped;
+    d^0 has no degenerate tuple on either side, so both modes build the same
+    matrix there.  Row r is the
     (degree+1)-tuple of index r.  For the face dropping x_(i+1) write
     ``r = (h*n + y) * T + t`` with ``T = n^(degree-i)``: head index h (the
     first i entries), acting element y and tail index t.  The dropped term
@@ -122,8 +122,8 @@ def _delta_rows(
     column), so every row shares the same int objects.
     """
     n, table = rack.size, rack.table
-    if quandle:
-        row_idx: list[int] | range = nondegenerate_indices(degree + 1, n)
+    if quandle and degree:
+        row_idx: Sequence[int] = nondegenerate_indices(degree + 1, n)
         col_idx = nondegenerate_indices(degree, n)
         col = [-1] * n**degree
         for j, c in enumerate(col_idx):
@@ -166,20 +166,20 @@ def _delta_rows(
         if 0 in row.values():
             row = {j: v for j, v in row.items() if v}
         rows.append(row)
-    return row_idx, col_idx, rows
+    return Coboundary(row_idx, col_idx, rows)
 
 
-def coboundary(rack: FiniteRack, degree: int, cap: int = DEFAULT_CAP) -> CoboundaryMatrix:
-    """The matrix of d^degree in the fixed index order (zero for degree <= 0)."""
+def coboundary(rack: FiniteRack, degree: int, cap: int = DEFAULT_CAP) -> Coboundary:
+    """The matrix of d^degree on all tuples (zero for degree <= 0, with no
+    rows or columns below 0)."""
     _check_cap(rack, max(degree, 0), cap)
     if degree < 0:
-        return CoboundaryMatrix(degree, 0, 0, ())
-    _, _, rows = _delta_rows(rack, degree, False)
-    return CoboundaryMatrix(degree, len(rows), rack.size**degree, tuple(rows))
+        return Coboundary([], [], [])
+    return _delta_rows(rack, degree, False)
 
 
-def apply_coboundary(matrix: CoboundaryMatrix, cochain: Cochain) -> Cochain:
-    if matrix.cols != len(cochain.values):
+def apply_coboundary(matrix: Coboundary, cochain: Cochain) -> Cochain:
+    if len(matrix.col_idx) != len(cochain.values):
         raise ValueError("cochain does not match the matrix shape")
     values = tuple(
         sum((entry * cochain.values[j] for j, entry in row.items()), Fraction(0))
@@ -201,20 +201,14 @@ def nondegenerate_indices(degree: int, size: int) -> list[int]:
     return indices
 
 
-def quandle_coboundary(
-    rack: FiniteRack, degree: int, cap: int = DEFAULT_CAP
-) -> tuple[list[int], list[int], list[dict[int, int]]]:
-    """The coboundary restricted to quandle cochains.
-
-    Returns (row indices, column indices, rows): rows/columns are the
-    nondegenerate tuple indices (all tuples for degrees <= 1) and each sparse
-    row is keyed by position in the column index list.
-    """
+def quandle_coboundary(rack: FiniteRack, degree: int, cap: int = DEFAULT_CAP) -> Coboundary:
+    """The coboundary restricted to quandle cochains: rows and columns are
+    the nondegenerate tuple indices (all tuples for degrees <= 1)."""
     if not rack.quandle:
         raise ValueError("quandle mode needs a quandle")
     _check_cap(rack, max(degree, 0), cap)
     if degree < 0:
-        return [], [], []
+        return Coboundary([], [], [])
     return _delta_rows(rack, degree, True)
 
 
@@ -233,17 +227,13 @@ def cohomology_dims(
     if max_degree < 0:
         return []
     _check_cap(rack, max_degree, cap)
+    build = quandle_coboundary if quandle_mode else coboundary
     dims = [1]
     rank_below = 0  # rank of d^(k-1)
     for k in range(1, max_degree + 1):
-        if quandle_mode:
-            _, cols, rows = quandle_coboundary(rack, k, cap)
-            space_dim = len(cols)
-        else:
-            matrix = coboundary(rack, k, cap)
-            space_dim, rows = matrix.cols, matrix.entries
-        rank_here = exact_rank(rows)
-        dims.append(space_dim - rank_here - rank_below)
+        d = build(rack, k, cap)
+        rank_here = exact_rank(d.entries)
+        dims.append(len(d.col_idx) - rank_here - rank_below)
         rank_below = rank_here
     return dims
 

@@ -11,7 +11,7 @@ from rackqm import cli
 from rackqm.cli import main
 from rackqm.free_product import free_rack, trivial_product
 from rackqm.racks import dihedral_quandle, rack_to_dict, trivial_rack
-from rackqm.sampling import enumerate_syllable_words
+from rackqm.sampling import SamplerConfig, enumerate_syllable_words
 
 
 @pytest.fixture()
@@ -179,13 +179,13 @@ def test_qm_defect_group_exhaustive(sign_family_file, capsys):
     assert Fraction(data["observed"]) <= 3
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=30):
     # a separate process, so that a command that never returns fails the
     # test through the timeout instead of hanging the suite
     src = os.path.dirname(os.path.dirname(rackqm.__file__))
     return subprocess.run(
         [sys.executable, "-m", "rackqm.cli", *args],
-        capture_output=True, text=True, timeout=30,
+        capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": src},
     )
 
@@ -199,6 +199,23 @@ def test_qm_defect_rejects_bad_sampler_input(sign_family_file, flag, value):
     assert result.returncode == 2
     assert flag in result.stderr
     assert result.stdout == ""
+
+
+def test_sampler_flags_default_to_the_config(sign_family_file):
+    args = cli.make_parser().parse_args(["qm", "defect", sign_family_file])
+    assert cli._sampler(args) == SamplerConfig()
+
+
+def test_factors_and_sizes_together_exit_2(sign_family_file, capsys):
+    for command in (
+        ("fp", "op", "a.0 | b.0", "b.0 | a.0"),
+        ("qm", "defect", sign_family_file, "--samples", "10"),
+        ("certify", "independence", "--rank", "2", "--n", "3"),
+    ):
+        assert main([*command, "--sizes", "a=2,b=3", "--factors", "x,y"]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err.startswith("error: --factors and --sizes"), command
 
 
 def test_qm_defect_rejects_negative_exhaustive(sign_family_file):
@@ -455,6 +472,24 @@ def test_certify_independence_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == 4
     assert data["matrix"][2][2] == "1" and data["matrix"][2][1] == "0"
+
+
+def test_certify_independence_rejects_ranks_over_budget():
+    # rank^2 = 1,002,001 entries; the closed-form check exits before any work
+    assert 1001 * 1001 > cli.CERTIFICATE_ENTRIES >= 1000 * 1000
+    result = run_cli("certify", "independence", "--rank", "1001", "--n", "1", timeout=10)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: --rank 1001"), result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "21"])
+def test_certify_numeric_flags_never_leak_a_traceback(value):
+    for flag, other in (("--rank", "--n"), ("--n", "--rank")):
+        args = ("certify", "independence", flag, value, other, "3")
+        result = run_cli(*args)
+        assert result.returncode in (0, 1, 2), (args, result.stderr)
+        assert "Traceback" not in result.stderr, (args, result.stderr)
 
 
 def test_cli_round_trip_of_printed_elements(capsys):

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from rackqm.cochain import (
+    Coboundary,
     Cochain,
     CochainCapError,
     _delta_rows,
@@ -89,7 +90,7 @@ def test_coboundary_matches_oracle_small():
         for n in (1, 2):
             matrix = coboundary(rack, n)
             assert all(0 not in row.values() for row in matrix.entries)
-            assert densify(matrix.entries, matrix.cols) == oracle_delta(rack, n)
+            assert densify(matrix.entries, len(matrix.col_idx)) == oracle_delta(rack, n)
 
 
 def test_quandle_coboundary_matches_sliced_oracle():
@@ -123,7 +124,8 @@ def test_coboundary_matches_oracle_at_degrees_three_and_four():
         for n in _oracle_degrees(rack):
             matrix = coboundary(rack, n)
             assert all(0 not in row.values() for row in matrix.entries)
-            assert densify(matrix.entries, matrix.cols) == oracle_delta(rack, n), (rack.name, n)
+            dense = densify(matrix.entries, len(matrix.col_idx))
+            assert dense == oracle_delta(rack, n), (rack.name, n)
 
 
 def test_quandle_mode_rows_match_sliced_oracle_at_degrees_three_and_four():
@@ -184,23 +186,43 @@ def test_trivial_rack_coboundaries_vanish():
     rack = trivial_rack(3)
     for n in (1, 2, 3):
         matrix = coboundary(rack, n)
-        assert all(v == 0 for row in densify(matrix.entries, matrix.cols) for v in row)
+        assert all(v == 0 for row in densify(matrix.entries, len(matrix.col_idx)) for v in row)
 
 
 def test_nonpositive_degrees_are_zero_maps():
     rack = dihedral_quandle(3)
     d0 = coboundary(rack, 0)
-    assert d0.rows == 3 and d0.cols == 1
-    assert all(v == 0 for row in densify(d0.entries, d0.cols) for v in row)
+    assert len(d0.row_idx) == 3 and len(d0.col_idx) == 1
+    assert all(v == 0 for row in densify(d0.entries, len(d0.col_idx)) for v in row)
     dneg = coboundary(rack, -1)
-    assert dneg.rows == 0 and dneg.cols == 0
+    assert len(dneg.row_idx) == 0 and len(dneg.col_idx) == 0
+
+
+def test_both_builders_return_one_coboundary_type():
+    rack = dihedral_quandle(3)
+    for k in (-1, 0, 1, 2):
+        for d in (coboundary(rack, k), quandle_coboundary(rack, k)):
+            assert type(d) is Coboundary
+            assert len(d.entries) == len(d.row_idx)
+    # d^0 has no degenerate tuple on either side, so the two modes agree there
+    assert quandle_coboundary(rack, 0) == coboundary(rack, 0)
+
+
+def test_apply_coboundary_rejects_quandle_mode_matrices():
+    # a quandle-mode d^k (k >= 1) has fewer rows or columns than the dense
+    # cochains apply_coboundary takes, so one of the length checks fails
+    rack = dihedral_quandle(3)
+    for k in (1, 2):
+        f = Cochain(k, 3, tuple(Fraction(i) for i in range(3**k)))
+        with pytest.raises(ValueError):
+            apply_coboundary(quandle_coboundary(rack, k), f)
 
 
 def test_entry_range_small_degrees():
     for rack in builtin_racks():
         for n in (1, 2):
             matrix = coboundary(rack, n)
-            entries = densify(matrix.entries, matrix.cols)
+            entries = densify(matrix.entries, len(matrix.col_idx))
             assert all(-2 <= v <= 2 for row in entries for v in row)
 
 
@@ -226,7 +248,7 @@ def test_rank_against_sympy():
     for rack in (dihedral_quandle(3), dihedral_quandle(4), conjugation_rack(symmetric_group(3))):
         for n in (1, 2):
             matrix = coboundary(rack, n)
-            dense = densify(matrix.entries, matrix.cols)
+            dense = densify(matrix.entries, len(matrix.col_idx))
             assert exact_rank(matrix.entries) == sympy.Matrix(dense).rank()
 
 
@@ -417,10 +439,10 @@ def test_quandle_degenerate_block_structure():
     for rack in (dihedral_quandle(3), dihedral_quandle(4), trivial_rack(3)):
         n = 2
         full = coboundary(rack, n)
-        entries = densify(full.entries, full.cols)
+        entries = densify(full.entries, len(full.col_idx))
         nondeg_cols = set(nondegenerate_indices(n, rack.size))
         nondeg_rows = set(nondegenerate_indices(n + 1, rack.size))
-        for r in range(full.rows):
+        for r in range(len(full.row_idx)):
             if r in nondeg_rows:
                 continue
             for c in nondeg_cols:
