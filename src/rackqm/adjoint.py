@@ -13,9 +13,10 @@ models used by free products:
   and the generator acts by shifting.  Free racks are free products of these.
 
 Both groups are free abelian, so a factor value is a dense exponent vector:
-a tuple of ``rank`` ints, entry i the exponent of ``generator_names[i]``.
-Equal values are equal tuples and the identity is the zero vector; names
-are used only where text is parsed or rendered (:mod:`rackqm.free_product`).
+a tuple of ``rank`` ints, entry i the exponent of the factor's generator i.
+Equal values are equal tuples and the identity is the zero vector.  A model
+is only a factor name and a rank; generator names are spelled where text is
+parsed or rendered (:func:`rackqm.free_product.generator_name`).
 """
 
 from __future__ import annotations
@@ -77,18 +78,14 @@ def presentation(rack: FiniteRack) -> AdjointPresentation:
 class TrivialRackModel:
     """Free abelian model for the adjoint group of a trivial rack.
 
-    ``generator_names[i]`` is the symbol for ``e_{x_i}``; the action is
+    Generator i is ``e_{x_i}``, one per carrier element; the action is
     trivial because ``x <| y = x``.
     """
 
     factor: str
-    generator_names: tuple[str, ...]
+    rank: int
 
     is_quandle = True  # trivial racks satisfy x <| x = x
-
-    @property
-    def rank(self) -> int:
-        return len(self.generator_names)
 
     def identity(self) -> Value:
         return (0,) * self.rank
@@ -144,17 +141,9 @@ class FreeRackFactorModel:
     """
 
     factor: str
-    generator: str
 
+    rank = 1
     is_quandle = False  # x <| x shifts, so no idempotence
-
-    @property
-    def generator_names(self) -> tuple[str, ...]:
-        return (self.generator,)
-
-    @property
-    def rank(self) -> int:
-        return 1
 
     def identity(self) -> Value:
         return (0,)
@@ -226,7 +215,7 @@ def trivial_rack_model(n: int, factor: str = "t") -> TrivialRackModel:
     """The free abelian model of rank n; rank 1 is the infinite cyclic group."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    return TrivialRackModel(factor, tuple(f"{factor}.{i}" for i in range(n)))
+    return TrivialRackModel(factor, n)
 
 
 def express_generator(

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Iterable
@@ -27,8 +26,7 @@ OK, INVARIANT_VIOLATED, INPUT_ERROR = 0, 1, 2
 HOMOGENIZE_LETTERS = 2**20  # letter budget of qm homogenize's pattern and of its longest power
 EXHAUSTIVE_WORDS = 10**6  # budget of factor values plus words qm defect --exhaustive enumerates
 CERTIFICATE_ENTRIES = 10**6  # budget of rank^2 matrix entries certify independence evaluates
-
-_FACTOR_REF = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\.")
+FACTOR_RANKS = 10**5  # budget of the summed factor ranks that --sizes asks for
 
 
 class CliInputError(Exception):
@@ -45,17 +43,15 @@ def _parse_sizes(text: str) -> dict[str, int]:
     return sizes
 
 
-def _mentioned(*texts: str) -> set[str]:
-    """The factor names that element texts refer to as ``name.``."""
-    return {name for text in texts for name in _FACTOR_REF.findall(text)}
-
-
 def build_parent(args, names: Iterable[str]) -> fp.FreeProductRack:
     """Parent from flags, falling back to the given factor names, sorted."""
     if args.factors and args.sizes:
         raise CliInputError("--factors and --sizes both name the factors; pass one")
     if args.sizes:
-        return fp.trivial_product(_parse_sizes(args.sizes))
+        sizes = _parse_sizes(args.sizes)
+        if (total := sum(sizes.values())) > FACTOR_RANKS:
+            raise CliInputError(f"--sizes ranks sum to {total}, over the budget of {FACTOR_RANKS}")
+        return fp.trivial_product(sizes)
     names = [n.strip() for n in args.factors.split(",")] if args.factors else sorted(set(names))
     if len(names) < 2:
         raise CliInputError(
@@ -88,7 +84,7 @@ def _load_family(args, path: str, *texts: str):
     with open(path) as fh:
         data = json.load(fh)
     names = {entry["factor"] for entry in qm.family_entries(data)}
-    parent = build_parent(args, names | _mentioned(*texts))
+    parent = build_parent(args, names | fp.mentioned_factors(*texts))
     return parent, qm.family_from_dict(parent, data)
 
 
@@ -170,7 +166,7 @@ def cmd_word_reduce(args) -> int:
 
 
 def cmd_fp_op(args) -> int:
-    parent = build_parent(args, _mentioned(args.p, args.q))
+    parent = build_parent(args, fp.mentioned_factors(args.p, args.q))
     p = fp.parse_element(parent, args.p)
     q = fp.parse_element(parent, args.q)
     result = fp.rack_op(p, q, sign=-1 if args.inverse else 1)
@@ -179,7 +175,7 @@ def cmd_fp_op(args) -> int:
 
 
 def cmd_fp_equal(args) -> int:
-    parent = build_parent(args, _mentioned(args.p, args.q))
+    parent = build_parent(args, fp.mentioned_factors(args.p, args.q))
     p = fp.parse_element(parent, args.p)
     q = fp.parse_element(parent, args.q)
     same = fp.equal(p, q)
@@ -237,7 +233,7 @@ def cmd_qm_defect(args) -> int:
             family,
             config,
             exhaustive_syllables=args.exhaustive,
-            exhaustive_exponent=args.max_exponent if args.exhaustive else None,
+            exhaustive_exponent=args.max_exponent,
         )
         bound = 3 * family.bound
         mode = "group"

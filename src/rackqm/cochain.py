@@ -46,7 +46,7 @@ __all__ = [
     "coboundary_products_vanish",
 ]
 
-DEFAULT_CAP = 10**7
+CAP = 10**7  # the most rows, |X|^(degree+1), one coboundary may have
 
 
 class CochainCapError(ValueError):
@@ -94,10 +94,10 @@ class Coboundary(NamedTuple):
     entries: list[dict[int, int]]
 
 
-def _check_cap(rack: FiniteRack, degree: int, cap: int) -> None:
-    if rack.size ** (degree + 1) > cap:
+def _check_cap(rack: FiniteRack, degree: int) -> None:
+    if rack.size ** (degree + 1) > CAP:
         raise CochainCapError(
-            f"|X|^{degree + 1} = {rack.size ** (degree + 1)} exceeds the cap {cap}"
+            f"|X|^{degree + 1} = {rack.size ** (degree + 1)} exceeds the cap {CAP}"
         )
 
 
@@ -169,10 +169,10 @@ def _delta_rows(rack: FiniteRack, degree: int, quandle: bool) -> Coboundary:
     return Coboundary(row_idx, col_idx, rows)
 
 
-def coboundary(rack: FiniteRack, degree: int, cap: int = DEFAULT_CAP) -> Coboundary:
+def coboundary(rack: FiniteRack, degree: int) -> Coboundary:
     """The matrix of d^degree on all tuples (zero for degree <= 0, with no
     rows or columns below 0)."""
-    _check_cap(rack, max(degree, 0), cap)
+    _check_cap(rack, max(degree, 0))
     if degree < 0:
         return Coboundary([], [], [])
     return _delta_rows(rack, degree, False)
@@ -201,23 +201,18 @@ def nondegenerate_indices(degree: int, size: int) -> list[int]:
     return indices
 
 
-def quandle_coboundary(rack: FiniteRack, degree: int, cap: int = DEFAULT_CAP) -> Coboundary:
+def quandle_coboundary(rack: FiniteRack, degree: int) -> Coboundary:
     """The coboundary restricted to quandle cochains: rows and columns are
     the nondegenerate tuple indices (all tuples for degrees <= 1)."""
     if not rack.quandle:
         raise ValueError("quandle mode needs a quandle")
-    _check_cap(rack, max(degree, 0), cap)
+    _check_cap(rack, max(degree, 0))
     if degree < 0:
         return Coboundary([], [], [])
     return _delta_rows(rack, degree, True)
 
 
-def cohomology_dims(
-    rack: FiniteRack,
-    max_degree: int,
-    quandle_mode: bool = False,
-    cap: int = DEFAULT_CAP,
-) -> list[int]:
+def cohomology_dims(rack: FiniteRack, max_degree: int, quandle_mode: bool = False) -> list[int]:
     """``[dim H^0, ..., dim H^max_degree]`` by exact rank computations.
 
     ``dim H^k = dim C^k - rank(d^k) - rank(d^(k-1))``, with ``dim C^k`` the
@@ -226,12 +221,12 @@ def cohomology_dims(
     """
     if max_degree < 0:
         return []
-    _check_cap(rack, max_degree, cap)
+    _check_cap(rack, max_degree)
     build = quandle_coboundary if quandle_mode else coboundary
     dims = [1]
     rank_below = 0  # rank of d^(k-1)
     for k in range(1, max_degree + 1):
-        d = build(rack, k, cap)
+        d = build(rack, k)
         rank_here = exact_rank(d.entries)
         dims.append(len(d.col_idx) - rank_here - rank_below)
         rank_below = rank_here

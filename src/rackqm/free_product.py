@@ -27,8 +27,10 @@ the same machinery.
 The rack operation is ``(x, g) <| (y, h) = (x, g h^-1 e_y h)``, with the sign
 of ``e_y`` flipped for the inverse operation.
 
-A syllable value is its factor model's exponent vector; generator names
-appear only in :func:`parse_element` and :func:`render_value`.
+A syllable value is its factor model's exponent vector; a model carries only
+a factor name and a rank.  This is the only module that spells or reads
+generator text: :func:`generator_name` spells it and :func:`mentioned_factors`
+reads factor names back out of it.
 """
 
 from __future__ import annotations
@@ -56,12 +58,29 @@ __all__ = [
     "parse_element",
     "render_element",
     "render_value",
+    "generator_name",
+    "mentioned_factors",
 ]
 
 FactorModel = TrivialRackModel | FreeRackFactorModel
 
 _FACTOR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _BASE = re.compile(r"(?P<factor>[A-Za-z][A-Za-z0-9_]*)\.(?P<key>-?\d+)\Z")
+_FACTOR_REF = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\.")
+
+
+def generator_name(factor: str, i: int) -> str:
+    """The text of generator i of a factor, and of the factor's base element i.
+
+    >>> generator_name("a", 10)
+    'a.10'
+    """
+    return f"{factor}.{i}"
+
+
+def mentioned_factors(*texts: str) -> set[str]:
+    """The factor names that element texts refer to as ``name.``."""
+    return {name for text in texts for name in _FACTOR_REF.findall(text)}
 
 
 @dataclass(frozen=True)
@@ -113,7 +132,7 @@ class FreeProductRack:
 def free_rack(names: Sequence[str]) -> FreeProductRack:
     """The free rack on the given letters, as a free product of one-generator
     free racks; the adjoint group is the free group on the letters."""
-    factors = tuple(FreeRackFactorModel(n, f"{n}.0") for n in names)
+    factors = tuple(FreeRackFactorModel(n) for n in names)
     return FreeProductRack(factors)
 
 
@@ -156,7 +175,8 @@ class SyllableWord:
 def render_value(model: FactorModel, value: Value) -> str:
     """A factor value in the word grammar, tokens sorted by generator name
     (so ``a.10`` comes before ``a.2``); the empty string for the identity."""
-    return AbelianWord(tuple(zip(model.generator_names, value))).render()
+    exponents = tuple((generator_name(model.factor, i), e) for i, e in enumerate(value) if e)
+    return AbelianWord(exponents).render()
 
 
 def factorize(parent: FreeProductRack, items: Iterable[tuple[str, Value]]) -> SyllableWord:
@@ -302,10 +322,7 @@ def parse_element(parent: FreeProductRack, text: str) -> FreeProductElement:
         raise WordParseError(f"unknown factor {factor!r}", 0)
     key = int(match.group("key"))
     # letter ``name^exp`` is exp times ``embed(i)``, name the i-th generator of f
-    owner: dict[str, tuple[FactorModel, int]] = {}
-    for f in parent.factors:
-        for i, g in enumerate(f.generator_names):
-            owner[g] = (f, i)
+    owner = {generator_name(f.factor, i): (f, i) for f in parent.factors for i in range(f.rank)}
     word = parse_word(tail_text.strip(), set(owner))
     items = []
     for name, exp in word.syllables:
@@ -323,12 +340,12 @@ def render_element(p: FreeProductElement) -> str:
     model = p.parent.model(p.base_factor)
     lead = ""
     if isinstance(model, FreeRackFactorModel):
-        base = f"{p.base_factor}.0"
+        # the base element and the one generator share the name factor.0
+        base = generator_name(p.base_factor, 0)
         if p.base_key:
-            gen = model.generator
-            lead = gen if p.base_key == 1 else f"{gen}^{p.base_key}"
+            lead = base if p.base_key == 1 else f"{base}^{p.base_key}"
     else:
-        base = f"{p.base_factor}.{p.base_key}"
+        base = generator_name(p.base_factor, p.base_key)
     tail = p.tail.render(p.parent)
     word = " ".join(part for part in (lead, tail) if part)
     return f"{base} | {word}".rstrip() if word else f"{base} |"

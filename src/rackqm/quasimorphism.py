@@ -38,6 +38,7 @@ from .free_product import (
     FreeProductRack,
     SyllableWord,
     concat_words,  # not called here; the benchmark's tracer patches it on this module
+    generator_name,
     rack_op,
     render_value,
 )
@@ -768,9 +769,8 @@ def tail_group_word(p: FreeProductElement) -> GroupWord:
     the form homogeneous quasimorphisms of the adjoint group consume."""
     if any(f.rank != 1 for f in p.parent.factors):
         raise QmError("tail flattening needs rank-1 factors (free rack/quandle)")
-    model = p.parent.model
     return GroupWord(
-        tuple((model(factor).generator_names[0], value[0]) for factor, value in p.tail.syllables)
+        tuple((generator_name(factor, 0), value[0]) for factor, value in p.tail.syllables)
     )
 
 
@@ -863,15 +863,16 @@ def family_from_dict(parent: FreeProductRack, data: Mapping) -> LambdaFamily:
             model = parent.model(factor)
             if "generator" in entry:
                 generator = entry["generator"]
-                if generator not in model.generator_names:
+                names = [generator_name(factor, i) for i in range(model.rank)]
+                if generator not in names:
                     raise QmError(f"generator {generator!r} is not in factor {factor!r}")
-                index = model.generator_names.index(generator)
+                index = names.index(generator)
             else:
                 key = model.validate_key(_integer(entry.get("element", 0), "'element'"))
                 index = model.embed(key).index(1)
             components.append(IotaComponent(factor, index, sigma))
         elif kind == "table":
-            names = parent.model(factor).generator_names
+            names = [generator_name(factor, i) for i in range(parent.model(factor).rank)]
             entries = []
             for word, v in _object(entry.get("values", {}), "'values'").items():
                 exponents = dict(parse_abelian(word, set(names)).exponents)
@@ -904,7 +905,7 @@ def family_to_dict(family: LambdaFamily) -> dict:
                 {
                     "factor": comp.factor,
                     "kind": "iota",
-                    "generator": family.parent.model(comp.factor).generator_names[comp.index],
+                    "generator": generator_name(comp.factor, comp.index),
                     "sigma": {str(k): format_fraction(v) for k, v in comp.sigma.entries},
                     "tail": format_fraction(comp.sigma.tail),
                 }

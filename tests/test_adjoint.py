@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from rackqm.adjoint import (
     FreeRackFactorModel,
+    TrivialRackModel,
     express_generator,
     presentation,
     scale,
@@ -67,15 +69,28 @@ def test_trivial_model_collection():
 
 
 def test_free_rack_factor_model_shifts():
-    model = FreeRackFactorModel("a", "a.0")
+    model = FreeRackFactorModel("a")
     assert model.act(0, model.embed(0)) == 1
     assert model.act(2, scale(model.embed(7), -3)) == -1
     assert not model.is_quandle
 
 
+def test_models_carry_a_factor_and_a_rank_and_no_names():
+    # generator names are spelled only by free_product.generator_name
+    assert [f.name for f in dataclasses.fields(TrivialRackModel)] == ["factor", "rank"]
+    assert [f.name for f in dataclasses.fields(FreeRackFactorModel)] == ["factor"]
+    assert trivial_rack_model(3, factor="t") == TrivialRackModel("t", 3)
+    assert FreeRackFactorModel("a").rank == 1
+    for model in (trivial_rack_model(3, factor="t"), FreeRackFactorModel("a")):
+        assert not hasattr(model, "generator_names")
+        assert not hasattr(model, "generator")
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        trivial_rack_model(0)
+
+
 def test_model_action_is_a_group_action():
     rng = random.Random(0)
-    for model in (trivial_rack_model(3, factor="t"), FreeRackFactorModel("a", "a.0")):
+    for model in (trivial_rack_model(3, factor="t"), FreeRackFactorModel("a")):
         for _ in range(200):
             key = model.sample_key(rng, 4)
             g = model.sample_value(rng, 4)
@@ -85,7 +100,7 @@ def test_model_action_is_a_group_action():
 
 
 @pytest.mark.parametrize(
-    "model", [trivial_rack_model(2, factor="t"), FreeRackFactorModel("a", "a.0")]
+    "model", [trivial_rack_model(2, factor="t"), FreeRackFactorModel("a")]
 )
 def test_sample_value_rejects_max_exponent_below_one(model):
     # a nonzero value needs an exponent of size at least 1; the trivial-rack

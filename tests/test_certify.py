@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from rackqm import certify, free_product
 from rackqm.certify import boundedness_refutation, independence_certificate
-from rackqm.free_product import free_quandle, free_rack, parse_element, trivial_product
+from rackqm.free_product import (
+    free_quandle,
+    free_rack,
+    generator_name,
+    parse_element,
+    reduce_element,
+    render_element,
+    trivial_product,
+)
 from rackqm.quasimorphism import (
     QmError,
     Sigma,
@@ -95,6 +104,35 @@ def test_certificate_round_trips(parent):
         assert [format_fraction(rack_qm(family, w) / n) for w in witnesses] == row
     for w in data["witnesses"]:
         assert parse_word(w["period"]).render() == w["period"]
+
+
+@pytest.mark.parametrize(
+    "parent, tail, expected",
+    [
+        pytest.param(
+            trivial_product({"a": 11, "b": 2}),
+            [("a", (0,) * 10 + (2,)), ("b", (1, 0))],
+            lambda g: f"{g('b', 1)} | {g('a', 10)}^2 {g('b', 0)}",
+            id="T11*T2",
+        ),
+        pytest.param(
+            FR,
+            [("a", (2,)), ("b", (1,))],
+            lambda g: f"{g('b', 0)} | {g('b', 0)} {g('a', 0)}^2 {g('b', 0)}",
+            id="FR",
+        ),
+    ],
+)
+def test_generator_text_is_spelled_by_generator_name(parent, tail, expected, monkeypatch):
+    # a certificate's witness base and an element's render (a free-rack base
+    # shift included) are both spelled by generator_name, and nothing else
+    element = reduce_element(parent, "b", 1, tail)
+    for spell in (generator_name, lambda factor, i: f"{factor}:{i}"):
+        monkeypatch.setattr(free_product, "generator_name", spell)
+        monkeypatch.setattr(certify, "generator_name", spell)
+        assert render_element(element) == expected(spell)
+        witnesses = independence_certificate(parent, 2, 3).to_dict()["witnesses"]
+        assert [w["base"] for w in witnesses] == [spell("b", 0)] * 2
 
 
 def test_growth_report_sign_family():

@@ -492,6 +492,25 @@ def test_certify_numeric_flags_never_leak_a_traceback(value):
         assert "Traceback" not in result.stderr, (args, result.stderr)
 
 
+def test_fp_sizes_over_budget_exit_2():
+    # the ranks sum to 100,000,003; building that parent used to run out of
+    # memory, and the check exits before any factor is built
+    assert 100_000_003 > cli.FACTOR_RANKS
+    result = run_cli("fp", "op", "a.0 |", "b.0 |", "--sizes", "a=100000000,b=3", timeout=10)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: --sizes"), result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("sizes", ["a=-1,b=2", "a=0,b=2", "a=21,b=2", "a=100000000,b=3"])
+def test_fp_sizes_never_leak_a_traceback(sizes):
+    args = ("fp", "op", "a.0 | b.1", "b.0 | a.0^2", "--sizes", sizes)
+    result = run_cli(*args, timeout=10)
+    assert result.returncode in (0, 1, 2), (args, result.stderr)
+    assert "Traceback" not in result.stderr, (args, result.stderr)
+
+
 def test_cli_round_trip_of_printed_elements(capsys):
     # everything fp prints must re-parse to an equal value
     for args in (

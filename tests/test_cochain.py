@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from rackqm import cochain
 from rackqm.cochain import (
     Coboundary,
     Cochain,
@@ -231,16 +232,19 @@ def test_delta_squared_zero_all_builtins():
         assert coboundary_products_vanish(rack, up_to_degree=2)
 
 
-def test_cap_guard():
+def test_cap_guard(monkeypatch):
+    monkeypatch.setattr(cochain, "CAP", 100)
     with pytest.raises(CochainCapError):
-        coboundary(dihedral_quandle(5), 2, cap=100)
+        coboundary(dihedral_quandle(5), 2)
 
 
-def test_cohomology_cap_counts_the_largest_matrix_built():
+def test_cohomology_cap_counts_the_largest_matrix_built(monkeypatch):
     # d^3 on a 2-element rack has 2^4 = 16 rows, the most any step builds
-    assert cohomology_dims(trivial_rack(2), 3, cap=16) == [1, 2, 4, 8]
+    monkeypatch.setattr(cochain, "CAP", 16)
+    assert cohomology_dims(trivial_rack(2), 3) == [1, 2, 4, 8]
+    monkeypatch.setattr(cochain, "CAP", 15)
     with pytest.raises(CochainCapError):
-        cohomology_dims(trivial_rack(2), 3, cap=15)
+        cohomology_dims(trivial_rack(2), 3)
 
 
 def test_rank_against_sympy():

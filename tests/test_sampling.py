@@ -97,7 +97,7 @@ def test_empty_ranges_raise_instead_of_hanging():
 
         calls = [
             ("max_syllables", lambda: sample_element(free_rack(["a", "b"]), Random(0), -1, 5)),
-            ("bound", lambda: FreeRackFactorModel("a", "a.0").sample_key(Random(0), -1)),
+            ("bound", lambda: FreeRackFactorModel("a").sample_key(Random(0), -1)),
             ("max_syllables", lambda: sample_syllable_word(
                 trivial_product({"a": 2, "b": 3}), Random(0), -2, 3)),
             ("empty range", lambda: _below(Random(0).getrandbits, 0)),
