@@ -71,7 +71,6 @@ from .quasimorphism import (
     zero_family,
 )
 from .cochain import (
-    Cochain,
     Coboundary,
     coboundary,
     coboundary_products_vanish,

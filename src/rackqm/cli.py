@@ -27,6 +27,7 @@ HOMOGENIZE_LETTERS = 2**20  # letter budget of qm homogenize's pattern and of it
 EXHAUSTIVE_WORDS = 10**6  # budget of factor values plus words qm defect --exhaustive enumerates
 CERTIFICATE_ENTRIES = 10**6  # budget of rank^2 matrix entries certify independence evaluates
 FACTOR_RANKS = 10**5  # budget of the summed factor ranks that --sizes asks for
+SAMPLED_EXPONENTS = 10**7  # budget of the exponents qm defect's sampled pairs may draw
 
 
 class CliInputError(Exception):
@@ -217,9 +218,22 @@ def _exhaustive_size(parent: fp.FreeProductRack, syllables: int, exponent: int) 
     return total
 
 
+def _sampled_exponents(parent: fp.FreeProductRack, config: SamplerConfig) -> int:
+    """The most exponents the sampled pairs draw: two elements per pair, each
+    of at most ``max_syllables`` syllables, each a value of at most the
+    largest factor rank."""
+    return 2 * config.samples * config.max_syllables * max(f.rank for f in parent.factors)
+
+
 def cmd_qm_defect(args) -> int:
     parent, family = _load_family(args, args.family)
     config = _sampler(args)
+    if (draws := _sampled_exponents(parent, config)) > SAMPLED_EXPONENTS:
+        raise CliInputError(
+            f"--samples {config.samples} with --max-syllables {config.max_syllables} draws up "
+            f"to {draws} exponents on these factors, more than the budget of "
+            f"{SAMPLED_EXPONENTS}; lower --samples, --max-syllables or the --sizes ranks"
+        )
     if args.group:
         if (
             args.exhaustive is not None

@@ -18,8 +18,9 @@ from typing import Mapping, Sequence
 __all__ = ["exact_rank", "sparse_matmul"]
 
 
-def exact_rank(rows: Sequence[Mapping[int, int | Fraction]]) -> int:
-    """Rank over the rationals by fraction-free elimination on sparse rows.
+def exact_rank(rows: Sequence[Mapping[int, int | Fraction]], limit: int | None = None) -> int:
+    """Rank over the rationals by fraction-free elimination on sparse rows,
+    or ``min(rank, limit)`` when a ``limit`` is given.
 
     Each nonempty row is scaled once by the lcm of its denominators to an
     integer row, then reduced against the pivots met so far, keyed by their
@@ -34,7 +35,16 @@ def exact_rank(rows: Sequence[Mapping[int, int | Fraction]]) -> int:
     instead of 65,653); the rank does not depend on the order.  Empty rows
     are skipped, zero entries in the input are ignored and the input rows
     are not modified.
+
+    The elimination returns as soon as it holds ``limit`` pivots, leaving the
+    remaining rows unread, and ``limit == 0`` returns 0 without reading any
+    row.  A caller that has proved ``rank <= limit`` thus gets the exact rank
+    without reducing the rows after the last pivot to zero.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
+    if limit == 0:
+        return 0
     pivots: dict[int, dict[int, int]] = {}
     for given in rows:
         if not given:
@@ -51,6 +61,8 @@ def exact_rank(rows: Sequence[Mapping[int, int | Fraction]]) -> int:
                 if c != 1:
                     row = {j: v // c for j, v in row.items()}
                 pivots[lead] = row
+                if len(pivots) == limit:
+                    return limit
                 break
             g = gcd(pivot[lead], row[lead])
             a, b = pivot[lead] // g, row[lead] // g

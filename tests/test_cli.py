@@ -9,7 +9,7 @@ import pytest
 import rackqm
 from rackqm import cli
 from rackqm.cli import main
-from rackqm.free_product import free_rack, trivial_product
+from rackqm.free_product import free_quandle, free_rack, trivial_product
 from rackqm.racks import dihedral_quandle, rack_to_dict, trivial_rack
 from rackqm.sampling import SamplerConfig, enumerate_syllable_words
 
@@ -501,6 +501,36 @@ def test_fp_sizes_over_budget_exit_2():
     assert result.stderr.startswith("error: --sizes"), result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("samples", ["200", "20"])
+def test_qm_defect_rejects_sampled_work_over_budget(sign_family_file, samples):
+    # the ranks are within the --sizes budget, but every sampled value of the
+    # rank-99999 factor draws 99,999 exponents: --samples 200 ran for half a
+    # minute and --samples 20 printed a witness of megabytes
+    result = run_cli(
+        "qm", "defect", sign_family_file, "--sizes", "a=99999,b=1", "--samples", samples,
+        timeout=10,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: --samples {samples} with --max-syllables 12"), (
+        result.stderr
+    )
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_sampled_work_budget_admits_the_defaults_on_stock_parents():
+    config = SamplerConfig()
+    for parent in (
+        free_rack(["a", "b"]),
+        free_quandle(["a", "b"]),
+        free_rack(["a", "b", "c"]),
+        trivial_product({"a": 2, "b": 3}),
+    ):
+        draws = cli._sampled_exponents(parent, config)
+        assert draws == 2 * 10_000 * 12 * max(f.rank for f in parent.factors)
+        assert draws <= cli.SAMPLED_EXPONENTS
 
 
 @pytest.mark.parametrize("sizes", ["a=-1,b=2", "a=0,b=2", "a=21,b=2", "a=100000000,b=3"])

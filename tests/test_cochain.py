@@ -1,5 +1,6 @@
 import ast
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -8,16 +9,13 @@ import pytest
 from rackqm import cochain
 from rackqm.cochain import (
     Coboundary,
-    Cochain,
     CochainCapError,
     _delta_rows,
-    apply_coboundary,
     coboundary,
     coboundary_products_vanish,
     cohomology_dims,
     nondegenerate_indices,
     quandle_coboundary,
-    tuple_index,
 )
 from rackqm.free_product import free_quandle, free_rack, trivial_product
 from rackqm.linalg import exact_rank, sparse_matmul
@@ -33,12 +31,55 @@ from rackqm.racks import (
     builtin_racks,
     components,
     conjugation_rack,
+    cyclic_group,
     dihedral_quandle,
     symmetric_group,
     trivial_rack,
     validate_rack,
 )
 from rackqm.sampling import SamplerConfig
+
+
+def tuple_index(xs, size):
+    """Index of the tuple ``xs`` in the order ``(x_1..x_n) -> sum x_i * size^(n-i)``."""
+    idx = 0
+    for x in xs:
+        idx = idx * size + x
+    return idx
+
+
+@dataclass(frozen=True)
+class Cochain:
+    """A function X^degree -> Q, dense in the tuple-index order; degree 0 is a
+    single scalar (the empty product has one point)."""
+
+    degree: int
+    size: int
+    values: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        expected = self.size**self.degree
+        if self.degree < 0 or len(self.values) != expected:
+            raise ValueError(f"need {expected} values for degree {self.degree}")
+
+    def __call__(self, *xs):
+        if len(xs) != self.degree:
+            raise ValueError("arity mismatch")
+        return self.values[tuple_index(xs, self.size)]
+
+    def sup_norm(self):
+        return max((abs(v) for v in self.values), default=Fraction(0))
+
+
+def apply_coboundary(matrix, cochain):
+    """d f for a rack-mode ``Coboundary`` and a dense cochain, entry by entry."""
+    if len(matrix.col_idx) != len(cochain.values):
+        raise ValueError("cochain does not match the matrix shape")
+    values = tuple(
+        sum((entry * cochain.values[j] for j, entry in row.items()), Fraction(0))
+        for row in matrix.entries
+    )
+    return Cochain(cochain.degree + 1, cochain.size, values)
 
 
 def oracle_delta(rack, n):
@@ -352,6 +393,150 @@ def test_exact_rank_leaves_its_input_unmodified():
         before = repr(rows)  # repr tells 1 from Fraction(1), which == does not
         exact_rank(rows)
         assert repr(rows) == before
+
+
+def _limit_cases():
+    """Coboundary rows of every built-in in both modes, and random rational rows."""
+    for rack in builtin_racks(max_size=4):
+        for k in (1, 2, 3):
+            yield f"{rack.name}/{k}/rack", coboundary(rack, k).entries
+            yield f"{rack.name}/{k}/quandle", quandle_coboundary(rack, k).entries
+    rng = random.Random(21)
+    for i in range(40):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        yield f"random/{i}", [
+            {j: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for j in range(cols)
+             if rng.random() < 0.6}
+            for _ in range(rows)
+        ]
+
+
+def test_exact_rank_with_a_limit_is_the_rank_capped_at_the_limit():
+    for label, rows in _limit_cases():
+        before = repr(rows)
+        rank = exact_rank(rows)
+        for limit in (0, 1, rank - 1, rank, rank + 5):
+            if limit < 0:
+                continue
+            assert exact_rank(rows, limit=limit) == min(rank, limit), (label, limit)
+            assert repr(rows) == before, label  # input left as it was
+
+
+def test_exact_rank_stops_reading_rows_at_the_limit():
+    # a row past the limit-th pivot is never read: "x" has no denominator
+    poisoned = [{0: 1}, {0: 2}, {1: 3}, {2: "x"}]
+    assert exact_rank(poisoned, limit=2) == 2
+    assert exact_rank(poisoned, limit=0) == 0
+    with pytest.raises(AttributeError):
+        exact_rank(poisoned, limit=3)
+    with pytest.raises(ValueError, match="limit"):
+        exact_rank([{0: 1}], limit=-1)
+
+
+def full_elimination_dims(rack, max_degree, quandle_mode):
+    """Cohomology dims from ranks of every d^k with no limit: the plain path."""
+    build = quandle_coboundary if quandle_mode else coboundary
+    dims, rank_below = [1], 0
+    for k in range(1, max_degree + 1):
+        d = build(rack, k)
+        rank_here = exact_rank(d.entries)
+        dims.append(len(d.col_idx) - rank_here - rank_below)
+        rank_below = rank_here
+    return dims
+
+
+def test_early_exit_dims_match_full_elimination():
+    for rack in builtin_racks() + list(NON_QUANDLES):
+        top = 4 if rack.size <= 4 else 3
+        assert cohomology_dims(rack, top) == full_elimination_dims(rack, top, False), rack.name
+        if rack.quandle:
+            assert cohomology_dims(rack, 4, True) == full_elimination_dims(rack, 4, True), (
+                rack.name
+            )
+
+
+def _orbit_sequences(c, k, quandle_mode):
+    return [
+        seq for seq in product(range(c), repeat=k)
+        if not quandle_mode or all(a != b for a, b in zip(seq, seq[1:]))
+    ]
+
+
+def _indicator(rack, orbits, tuples):
+    """chi_(A_1)(x_1)...chi_(A_k)(x_k) at each tuple index of ``tuples``: for
+    the cocycle these are the columns of d^k, for the box the rows of d^(k-1)."""
+    comp, n, k = components(rack).component_of, rack.size, len(orbits)
+    values = []
+    for idx in tuples:
+        xs = [(idx // n ** (k - 1 - i)) % n for i in range(k)]
+        assert tuple_index(xs, n) == idx
+        values.append(int(all(comp[x] == a for x, a in zip(xs, orbits))))
+    return values
+
+
+def test_orbit_lemma_cocycles_cycles_and_diagonal_pairing():
+    # the orbit lemma of the cochain module docstring, checked entry by entry
+    # without the dims: every orbit-indicator product is a cocycle, every
+    # orbit box a cycle, and their pairing is diagonal with nonzero entries
+    for rack in builtin_racks() + list(NON_QUANDLES):
+        part = components(rack)
+        sizes = part.sizes()
+        for quandle_mode in (False, True) if rack.quandle else (False,):
+            build = quandle_coboundary if quandle_mode else coboundary
+            for k in (1, 2, 3):
+                label = (rack.name, k, quandle_mode)
+                d_here, d_below = build(rack, k), build(rack, k - 1)
+                assert list(d_below.row_idx) == list(d_here.col_idx), label
+                seqs = _orbit_sequences(part.count, k, quandle_mode)
+                cocycles = [_indicator(rack, seq, d_here.col_idx) for seq in seqs]
+                for f in cocycles:
+                    assert all(
+                        sum(v * f[j] for j, v in row.items()) == 0 for row in d_here.entries
+                    ), label
+                    if not quandle_mode:  # the dense oracle takes rack-mode matrices
+                        f_dense = Cochain(k, rack.size, tuple(Fraction(v) for v in f))
+                        assert not any(apply_coboundary(d_here, f_dense).values), label
+                boxes = cocycles  # the box of A is the support of chi_A, on the same tuples
+                for box in boxes:
+                    image = [0] * len(d_below.col_idx)
+                    for r, row in enumerate(d_below.entries):
+                        if box[r]:
+                            for j, v in row.items():
+                                image[j] += v
+                    assert not any(image), label
+                for a, f in zip(seqs, cocycles):
+                    for b, box in zip(seqs, boxes):
+                        pairing = sum(x * y for x, y in zip(f, box))
+                        expected = 1
+                        for orbit in a:
+                            expected *= sizes[orbit]
+                        assert pairing == (expected if a == b else 0), (label, a, b)
+                        assert a != b or pairing != 0
+
+
+def test_zero_rank_bounds_build_no_coboundary(monkeypatch):
+    # on a rack with one-point orbits the bound is 0 in every degree, so no
+    # d^k is built or ranked; Conj(Z4) is such a rack
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built or ranked a matrix the bound rules out")
+
+    for attr in ("coboundary", "quandle_coboundary", "exact_rank"):
+        monkeypatch.setattr(cochain, attr, forbidden)
+    for rack in (trivial_rack(3), conjugation_rack(cyclic_group(4))):
+        n = rack.size
+        assert cohomology_dims(rack, 4) == [n**k for k in range(5)]
+        assert cohomology_dims(rack, 4, True) == [1] + [n * (n - 1) ** (k - 1) for k in range(1, 5)]
+
+
+def test_quandle_mode_on_a_non_quandle_fails_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the quandle check")
+
+    for attr in ("coboundary", "quandle_coboundary", "exact_rank", "components"):
+        monkeypatch.setattr(cochain, attr, forbidden)
+    for rack in NON_QUANDLES:
+        with pytest.raises(ValueError, match="needs a quandle"):
+            cohomology_dims(rack, 3, quandle_mode=True)
 
 
 def test_h0_and_h1_for_all_builtins():
