@@ -511,7 +511,6 @@ def test_orbit_lemma_cocycles_cycles_and_diagonal_pairing():
                         for orbit in a:
                             expected *= sizes[orbit]
                         assert pairing == (expected if a == b else 0), (label, a, b)
-                        assert a != b or pairing != 0
 
 
 def test_zero_rank_bounds_build_no_coboundary(monkeypatch):
