@@ -124,6 +124,8 @@ def cmd_rack_components(args) -> int:
 
 
 def cmd_rack_cohomology(args) -> int:
+    if args.degree < 0:
+        raise CliInputError(f"--degree must be at least 0, got {args.degree}")
     rack = load_rack(args.file)
     if args.quandle and not rack.quandle:
         raise CliInputError("--quandle requested but the input is not a quandle")
@@ -296,10 +298,15 @@ def cmd_qm_homogenize(args) -> int:
     pattern = parse_word(args.word)
     target = parse_word(args.target)
     defect_bound = qm.parse_fraction(args.defect_bound)
+    try:
+        tolerance = qm.parse_fraction(args.tolerance) if args.tolerance else None
+    except qm.QmError as exc:
+        raise CliInputError(f"--tolerance: {exc}") from None
     for flag, value in (
         ("--doublings", args.doublings),
         ("--samples", args.samples),
         ("--defect-bound", defect_bound),
+        ("--tolerance", tolerance or 0),
     ):
         if value < 0:
             raise CliInputError(f"{flag} must be at least 0, got {value}")
@@ -332,7 +339,7 @@ def cmd_qm_homogenize(args) -> int:
             target,
             defect_bound,
             doublings=args.doublings,
-            tolerance=qm.parse_fraction(args.tolerance) if args.tolerance else None,
+            tolerance=tolerance,
             observed_defect=observed,
         )
     except qm.QmError as exc:

@@ -91,7 +91,8 @@ def _check_cap(rack: FiniteRack, degree: int) -> None:
 
 
 def _delta_rows(rack: FiniteRack, degree: int, quandle: bool) -> Coboundary:
-    """d^degree (degree >= 0), by index arithmetic on tuples.
+    """d^degree, by index arithmetic on tuples; no rows or columns below
+    degree 0, and a matrix over the cap raises :class:`CochainCapError`.
 
     Rows and columns are all tuples in rack mode and the nondegenerate ones
     in quandle mode, where a term at a degenerate column tuple is dropped;
@@ -110,6 +111,9 @@ def _delta_rows(rack: FiniteRack, degree: int, quandle: bool) -> Coboundary:
     the one list ``col`` (tuple index -> column position, -1 if not a
     column), so every row shares the same int objects.
     """
+    _check_cap(rack, max(degree, 0))
+    if degree < 0:
+        return Coboundary([], [], [])
     n, table = rack.size, rack.table
     if quandle and degree:
         row_idx: Sequence[int] = nondegenerate_indices(degree + 1, n)
@@ -161,9 +165,6 @@ def _delta_rows(rack: FiniteRack, degree: int, quandle: bool) -> Coboundary:
 def coboundary(rack: FiniteRack, degree: int) -> Coboundary:
     """The matrix of d^degree on all tuples (zero for degree <= 0, with no
     rows or columns below 0)."""
-    _check_cap(rack, max(degree, 0))
-    if degree < 0:
-        return Coboundary([], [], [])
     return _delta_rows(rack, degree, False)
 
 
@@ -185,9 +186,6 @@ def quandle_coboundary(rack: FiniteRack, degree: int) -> Coboundary:
     the nondegenerate tuple indices (all tuples for degrees <= 1)."""
     if not rack.quandle:
         raise ValueError("quandle mode needs a quandle")
-    _check_cap(rack, max(degree, 0))
-    if degree < 0:
-        return Coboundary([], [], [])
     return _delta_rows(rack, degree, True)
 
 

@@ -342,8 +342,7 @@ def render_element(p: FreeProductElement) -> str:
     if isinstance(model, FreeRackFactorModel):
         # the base element and the one generator share the name factor.0
         base = generator_name(p.base_factor, 0)
-        if p.base_key:
-            lead = base if p.base_key == 1 else f"{base}^{p.base_key}"
+        lead = GroupWord(((base, p.base_key),)).render()
     else:
         base = generator_name(p.base_factor, p.base_key)
     tail = p.tail.render(p.parent)

@@ -74,9 +74,7 @@ __all__ = [
     "UnboundednessWitness",
     "find_unboundedness_witness",
     "witness_growth_table",
-    "brooks_qm",
     "brooks",
-    "exponent_sum_hom",
     "HomogeneousEstimate",
     "homogenize",
     "homogenize_doubling",
@@ -99,7 +97,7 @@ def parse_fraction(text) -> Fraction:
     """Accept ``"p/q"`` strings, plain integer strings, or numbers."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     try:
         return Fraction(str(text))
@@ -403,26 +401,18 @@ def _junction(
     return None, i, k
 
 
-def rack_qm_increment(
-    family: LambdaFamily,
-    p: FreeProductElement,
-    q: FreeProductElement,
-) -> Fraction:
-    """``phi(p <| q) - phi(p)`` from the syllables at the junction alone.
+def _increment(family: LambdaFamily, p: FreeProductElement, q: FreeProductElement) -> int:
+    """``D * (phi(p <| q) - phi(p))`` from the syllables at the junction
+    alone, D the family's denominator.
 
     ``p <| q`` reduces ``g . h^-1 e_y h``, where g and h are the tails of p
     and q.  The conjugate ``h^-1 e_y h`` is already alternating, and the
     family is odd, so it sums to ``lambda(e_y)``; only the end of g and the
     start of the conjugate can cancel or merge (:func:`_junction`), and once
     g is used up one leading syllable of the conjugate may be absorbed into
-    p's base.  :func:`rack_op` and :func:`rack_qm` on whole tails give the
-    same value.
+    p's base.  Re-summing the whole tails of ``rack_op(p, q)`` and p with
+    :func:`rack_qm` gives the same difference.
     """
-    return Fraction(_increment(family, p, q), family.denominator)
-
-
-def _increment(family: LambdaFamily, p: FreeProductElement, q: FreeProductElement) -> int:
-    """:func:`rack_qm_increment` times the family's denominator."""
     if p.parent != q.parent:
         raise ValueError("elements come from different free products")
     lam = family.evaluators
@@ -663,22 +653,18 @@ def witness_growth_table(
 # -- homogeneous quasimorphisms on free-group words ----------------------------
 
 
-def brooks_qm(pattern: GroupWord, g: GroupWord) -> int:
-    """Signed count of letter-level occurrences of ``pattern`` in reduced g:
-    occurrences of the pattern minus occurrences of its inverse, overlaps
-    counted.
+def brooks(pattern: GroupWord) -> Callable[[GroupWord], int]:
+    """The Brooks quasimorphism of ``pattern``: g maps to the signed count of
+    letter-level occurrences of the pattern in reduced g, occurrences of the
+    pattern minus occurrences of its inverse, overlaps counted.  The pattern
+    is expanded into letters once.
 
     >>> from rackqm.words import parse_word
-    >>> brooks_qm(parse_word("a b"), parse_word("a b a b"))
+    >>> brooks(parse_word("a b"))(parse_word("a b a b"))
     2
-    >>> brooks_qm(parse_word("a"), parse_word("a^3"))
+    >>> brooks(parse_word("a"))(parse_word("a^3"))
     3
     """
-    return brooks(pattern)(g)
-
-
-def brooks(pattern: GroupWord) -> Callable[[GroupWord], int]:
-    """:func:`brooks_qm` for one pattern, expanded into letters once."""
     if pattern.is_identity:
         raise QmError("Brooks pattern must be nonempty")
     needle = tuple(pattern.letters())
@@ -691,11 +677,6 @@ def brooks(pattern: GroupWord) -> Callable[[GroupWord], int]:
         return sum((w == needle) - (w == inverse) for w in windows)
 
     return count
-
-
-def exponent_sum_hom(g: GroupWord) -> int:
-    """Total exponent sum: a homomorphism, hence homogeneous with defect 0."""
-    return g.exponent_sum()
 
 
 @dataclass(frozen=True)
@@ -878,6 +859,8 @@ def family_from_dict(parent: FreeProductRack, data: Mapping) -> LambdaFamily:
                 exponents = dict(parse_abelian(word, set(names)).exponents)
                 vector = tuple(exponents.get(name, 0) for name in names)
                 entries.append((vector, parse_fraction(v)))
+            if "bound" not in entry:
+                raise QmError(f"table component for factor {factor!r} needs a 'bound'")
             bound = parse_fraction(entry["bound"])
             components.append(TableComponent(factor, tuple(entries), bound))
         elif kind == "zero":

@@ -25,10 +25,8 @@ __all__ = [
     "WordParseError",
     "parse_word",
     "parse_abelian",
-    "abelianize",
 ]
 
-NAME_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_.]*\Z")
 _TOKEN = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_.]*)(?:\^(?P<exp>[+-]?\d+))?\Z")
 
 
@@ -95,11 +93,9 @@ class GroupWord:
         """Letter length: the sum of absolute exponents."""
         return sum(abs(e) for _, e in self.syllables)
 
-    def exponent_sum(self, name: str | None = None) -> int:
-        """Total exponent of ``name``, or of all generators when ``name`` is None."""
-        if name is None:
-            return sum(e for _, e in self.syllables)
-        return sum(e for n, e in self.syllables if n == name)
+    def exponent_sum(self) -> int:
+        """Total exponent sum: a homomorphism, hence homogeneous with defect 0."""
+        return sum(e for _, e in self.syllables)
 
     def generators(self) -> set[str]:
         return {n for n, _ in self.syllables}
@@ -135,7 +131,7 @@ class AbelianWord:
         )
 
     def render(self) -> str:
-        return " ".join(n if e == 1 else f"{n}^{e}" for n, e in self.exponents)
+        return GroupWord(self.exponents).render()
 
 
 def _tokens_with_positions(text: str) -> Iterator[tuple[str, int]]:
@@ -169,9 +165,4 @@ def parse_word(text: str, alphabet: set[str] | None = None) -> GroupWord:
 
 def parse_abelian(text: str, alphabet: set[str] | None = None) -> AbelianWord:
     """Parse the same grammar, collecting exponents commutatively."""
-    return abelianize(parse_word(text, alphabet))
-
-
-def abelianize(word: GroupWord) -> AbelianWord:
-    """Image of a free-group word under abelianization (per-generator sums)."""
-    return AbelianWord(word.syllables)
+    return AbelianWord(parse_word(text, alphabet).syllables)

@@ -22,7 +22,6 @@ from rackqm.quasimorphism import (
     LambdaFamily,
     brooks,
     check_cocycle_diag,
-    exponent_sum_hom,
     find_unboundedness_witness,
     group_defect_estimate,
     homogeneous_rack_qm,
@@ -37,6 +36,7 @@ from rackqm.quasimorphism import (
 from rackqm.racks import builtin_racks, components, cyclic_group, trivial_rack
 from rackqm.sampling import SamplerConfig, make_rng, sample_element, sample_syllable_word
 from rackqm.quasimorphism import v0_dim
+from rackqm.words import GroupWord
 
 FR = free_rack(["a", "b"])
 FQ = free_quandle(["a", "b"])
@@ -250,8 +250,8 @@ def test_criterion_10_homogeneity_transfer():
         n = rng.randint(1, 100)
         base = reduce_element(FR, "b", 0, g.syllables)
         power = reduce_element(FR, "b", 0, g.syllables * n)
-        phi_g = homogeneous_rack_qm(exponent_sum_hom, base)
-        assert homogeneous_rack_qm(exponent_sum_hom, power) == n * phi_g
+        phi_g = homogeneous_rack_qm(GroupWord.exponent_sum, base)
+        assert homogeneous_rack_qm(GroupWord.exponent_sum, power) == n * phi_g
         checked += 1
     elapsed = time.perf_counter() - start
     report(

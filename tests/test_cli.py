@@ -97,6 +97,13 @@ def test_rack_cohomology(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["dims"] == [1, 3, 9]
 
 
+def test_rack_cohomology_rejects_a_negative_degree(rack_file):
+    for extra in ((), ("--quandle",), ("--dump-matrix",)):
+        result = run_cli("rack", "cohomology", rack_file, "--degree", "-1", *extra)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: --degree must be at least 0, got -1\n"
+
+
 def test_rack_cohomology_dump_matrix(rack_file, capsys):
     assert main(["rack", "cohomology", rack_file, "--degree", "1", "--dump-matrix"]) == 0
     out = capsys.readouterr().out
@@ -279,6 +286,8 @@ HOMOGENIZE = ("qm", "homogenize", "--word", "a b", "--target", "a b", "--defect-
         (*HOMOGENIZE, "--doublings", "-3"),
         (*HOMOGENIZE, "--samples", "-4"),
         (*HOMOGENIZE, "--defect-bound", "-1"),
+        (*HOMOGENIZE, "--tolerance", "-1"),
+        (*HOMOGENIZE, "--tolerance", "x"),
         # |target| * 2^doublings letters over the budget of 2^20
         (*HOMOGENIZE, "--doublings", "20"),
         (*HOMOGENIZE, "--doublings", "30"),
@@ -392,6 +401,9 @@ def _iota(**fields):
         _iota(indicator=[1]),
         _iota(indicator=2.5),
         _iota(element=True, sigma={"1": "1"}),
+        _iota(indicator=1, value=True),
+        _iota(sigma={"1": True}),
+        {"family": [{"factor": "a", "kind": "sign"}], "bound": True},
         {"family": [{"factor": "a", "kind": "table", "values": [1], "bound": "1"}]},
     ],
     ids=json.dumps,
@@ -403,6 +415,14 @@ def test_qm_defect_rejects_malformed_family_json(tmp_path, document):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: "), result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_table_component_without_a_bound_names_it(tmp_path):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"family": [{"factor": "a", "kind": "table", "values": {}}]}))
+    result = run_cli("qm", "defect", str(path), "--factors", "a,b", "--samples", "10")
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: table component for factor 'a' needs a 'bound'\n"
 
 
 def test_qm_witness(sign_family_file, capsys):

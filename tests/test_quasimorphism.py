@@ -19,9 +19,8 @@ from rackqm.quasimorphism import (
     QmError,
     Sigma,
     TableComponent,
+    _increment,
     brooks,
-    brooks_qm,
-    exponent_sum_hom,
     family_from_dict,
     family_to_dict,
     find_unboundedness_witness,
@@ -32,7 +31,6 @@ from rackqm.quasimorphism import (
     iota_family,
     rack_defect_estimate,
     rack_qm,
-    rack_qm_increment,
     rolli_qm,
     sign_family,
     tail_group_word,
@@ -48,7 +46,7 @@ from rackqm.sampling import (
     sample_element,
     sample_syllable_word,
 )
-from rackqm.words import AbelianWord, parse_word
+from rackqm.words import AbelianWord, GroupWord, parse_word
 
 FR = free_rack(["a", "b"])
 FQ = free_quandle(["a", "b"])
@@ -174,7 +172,7 @@ def test_homomorphism_has_zero_defect():
     for _ in range(2000):
         g = parse_word(" ".join(f"{rng.choice('ab')}^{rng.randint(-3, 3)}" for _ in range(4)))
         h = parse_word(" ".join(f"{rng.choice('ab')}^{rng.randint(-3, 3)}" for _ in range(4)))
-        assert exponent_sum_hom(g) + exponent_sum_hom(h) == exponent_sum_hom(g * h)
+        assert g.exponent_sum() + h.exponent_sum() == (g * h).exponent_sum()
 
 
 def test_rack_defect_bounded_small_sample():
@@ -195,6 +193,10 @@ def _whole_tail_increment(family, p, q):
     return rack_qm(family, rack_op(p, q)) - rack_qm(family, p)
 
 
+def _junction_increment(family, p, q):
+    return Fraction(_increment(family, p, q), family.denominator)
+
+
 def test_rack_qm_increment_matches_whole_tail_path():
     sigma = Sigma(((1, Fraction(1, 2)), (3, Fraction(-2))), Fraction(1, 3))
     table = TableComponent(
@@ -213,7 +215,7 @@ def test_rack_qm_increment_matches_whole_tail_path():
                 q = p if rng.random() < 0.1 else sample_element(
                     parent, rng, max_syllables, max_exponent
                 )
-                assert rack_qm_increment(family, p, q) == _whole_tail_increment(
+                assert _junction_increment(family, p, q) == _whole_tail_increment(
                     family, p, q
                 ), (p.render(), q.render())
 
@@ -235,13 +237,13 @@ def test_rack_qm_increment_at_the_junction():
     ]
     for p_text, q_text in cases:
         p, q = parse_element(FR, p_text), parse_element(FR, q_text)
-        assert rack_qm_increment(fam, p, q) == _whole_tail_increment(fam, p, q)
+        assert _junction_increment(fam, p, q) == _whole_tail_increment(fam, p, q)
 
 
 def test_rack_qm_increment_rejects_bad_input():
     p = parse_element(FR, "a.0 | b.0")
     with pytest.raises(ValueError):
-        rack_qm_increment(sign_family(FR), p, parse_element(FQ, "a.0 |"))
+        _increment(sign_family(FR), p, parse_element(FQ, "a.0 |"))
 
 
 def test_values_never_pass_through_abelian_words(monkeypatch):
@@ -257,7 +259,7 @@ def test_values_never_pass_through_abelian_words(monkeypatch):
             p = sample_element(parent, rng, 6, 3)
             q = sample_element(parent, rng, 6, 3)
             for family in families:
-                rack_qm_increment(family, p, q)
+                _increment(family, p, q)
             factorize(parent, p.tail.syllables + q.tail.syllables)
         assert len(list(enumerate_syllable_words(parent, 2, 2))) > 1
         assert independence_certificate(parent, 3, 5).verdict == 3
@@ -357,14 +359,14 @@ def test_witness_sign_choice_avoids_cancellation():
 
 
 def test_brooks_examples():
-    assert brooks_qm(parse_word("a b"), parse_word("a b a b")) == 2
-    assert brooks_qm(parse_word("a b"), parse_word("b^-1 a^-1")) == -1
-    assert brooks_qm(parse_word("a"), parse_word("a^3")) == 3
+    assert brooks(parse_word("a b"))(parse_word("a b a b")) == 2
+    assert brooks(parse_word("a b"))(parse_word("b^-1 a^-1")) == -1
+    assert brooks(parse_word("a"))(parse_word("a^3")) == 3
 
 
 def test_brooks_rejects_empty_pattern():
     with pytest.raises(QmError):
-        brooks_qm(parse_word(""), parse_word("a"))
+        brooks(parse_word(""))(parse_word("a"))
 
 
 def test_brooks_is_odd():
@@ -374,13 +376,13 @@ def test_brooks_is_odd():
         g = parse_word(
             " ".join(f"{rng.choice('ab')}^{rng.randint(-2, 2)}" for _ in range(5))
         )
-        assert brooks_qm(pattern, g.inverse()) == -brooks_qm(pattern, g)
+        assert brooks(pattern)(g.inverse()) == -brooks(pattern)(g)
 
 
 def test_brooks_counts_powers_exactly():
     pattern = parse_word("a b")
     for n in (1, 4, 32):
-        assert brooks_qm(pattern, parse_word("a b") ** n) == n
+        assert brooks(pattern)(parse_word("a b") ** n) == n
 
 
 def test_homogenize_brooks_ab():
@@ -395,7 +397,7 @@ def test_homogenize_identity_target():
 
 
 def test_homogenize_homomorphism_zero_defect():
-    estimate = homogenize(exponent_sum_hom, parse_word("a b^2"), 0, 8)
+    estimate = homogenize(GroupWord.exponent_sum, parse_word("a b^2"), 0, 8)
     assert estimate.center == 3 and estimate.radius == 0
 
 
@@ -418,12 +420,12 @@ def test_homogenize_rejects_inconsistent_bound():
             observed_defect=Fraction(1),
         )
     with pytest.raises(QmError):
-        homogenize(exponent_sum_hom, parse_word("a"), "-1", 4)
+        homogenize(GroupWord.exponent_sum, parse_word("a"), "-1", 4)
 
 
 def test_homogenize_tolerance_early_exit():
     estimates = homogenize_doubling(
-        exponent_sum_hom, parse_word("a"), "1", doublings=20, tolerance=Fraction(1, 100)
+        GroupWord.exponent_sum, parse_word("a"), "1", doublings=20, tolerance=Fraction(1, 100)
     )
     assert estimates[-1].radius < Fraction(1, 100)
     assert len(estimates) < 21
@@ -434,8 +436,8 @@ def test_homogenize_tolerance_early_exit():
 
 def test_homogeneous_rack_qm_exponent_sum():
     p = parse_element(FR, "b.0 | a.0^3")
-    assert homogeneous_rack_qm(exponent_sum_hom, p) == 3
-    assert homogeneous_rack_qm(exponent_sum_hom, parse_element(FR, "b.0 |")) == 0
+    assert homogeneous_rack_qm(GroupWord.exponent_sum, p) == 3
+    assert homogeneous_rack_qm(GroupWord.exponent_sum, parse_element(FR, "b.0 |")) == 0
 
 
 def test_homogeneous_rack_qm_respects_powers():
@@ -449,10 +451,8 @@ def test_homogeneous_rack_qm_respects_powers():
         p = reduce_element(FR, "b", 0, tail.syllables)
         flat = tail_group_word(p)
         if g.syllables and g.syllables[0][0] != "b":
-            expected = n * exponent_sum_hom(tail_group_word(
-                reduce_element(FR, "b", 0, g.syllables)
-            ))
-            assert homogeneous_rack_qm(exponent_sum_hom, p) == expected
+            expected = n * tail_group_word(reduce_element(FR, "b", 0, g.syllables)).exponent_sum()
+            assert homogeneous_rack_qm(GroupWord.exponent_sum, p) == expected
 
 
 def test_tail_group_word_needs_rank_one_factors():
@@ -478,8 +478,8 @@ def test_homogeneous_defect_bound_on_reduced_steps():
         if raw.syllables and raw.syllables[0][0] == p.base_factor:
             continue  # base absorption: no uniform bound for homogeneous phi
         diff = abs(
-            homogeneous_rack_qm(exponent_sum_hom, p)
-            - homogeneous_rack_qm(exponent_sum_hom, result)
+            homogeneous_rack_qm(GroupWord.exponent_sum, p)
+            - homogeneous_rack_qm(GroupWord.exponent_sum, result)
         )
         assert diff <= 1
         checked += 1
