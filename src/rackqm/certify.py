@@ -27,9 +27,9 @@ from .linalg import exact_rank
 from .quasimorphism import (
     LambdaFamily,
     Sigma,
+    _scaled,
     family_to_dict,
     find_unboundedness_witness,
-    format_fraction,
     iota_family,
     rolli_qm,
     witness_growth_table,
@@ -69,9 +69,7 @@ class IndependenceCertificate:
                 }
                 for j, period in enumerate(self.periods, 1)
             ],
-            "matrix": [
-                [format_fraction(v) for v in row] for row in self.matrix
-            ],
+            "matrix": [[str(v) for v in row] for row in self.matrix],
             "verdict": self.verdict,
         }
 
@@ -103,7 +101,10 @@ def independence_certificate(
         SyllableWord(((s0, scale(e_x0, j)), (t, e_x))) for j in range(1, rank + 1)
     )
     matrix = tuple(tuple(rolli_qm(fam, period) for period in periods) for fam in families)
-    verdict = exact_rank([dict(enumerate(row)) for row in matrix])
+    verdict = exact_rank(  # each row in integer units of its family's denominator
+        [{j: _scaled(v, fam.denominator) for j, v in enumerate(row)}
+         for fam, row in zip(families, matrix)]
+    )
     return IndependenceCertificate(
         rank, exponent, families, (t, x), periods, matrix, verdict
     )
@@ -126,8 +127,8 @@ class GrowthReport:
             "components": self.component_count,
             "components_method": self.component_count_label,
             "witness_period": self.witness_text,
-            "slope": format_fraction(self.slope),
-            "growth": {str(n): format_fraction(v) for n, v in self.table.items()},
+            "slope": str(self.slope),
+            "growth": {str(n): str(v) for n, v in self.table.items()},
         }
 
 

@@ -38,8 +38,8 @@ def _parse_sizes(text: str) -> dict[str, int]:
     sizes: dict[str, int] = {}
     for part in text.split(","):
         name, _, value = part.partition("=")
-        if not value:
-            raise CliInputError(f"bad --sizes entry {part!r}; expected name=count")
+        if name.strip() in sizes or not value.strip().removeprefix("-").isdecimal():
+            raise CliInputError(f"bad --sizes entry {part!r}; expected name=count, each name once")
         sizes[name.strip()] = int(value)
     return sizes
 
@@ -193,7 +193,7 @@ def cmd_qm_eval(args) -> int:
     parent, family = _load_family(args, args.family, args.element)
     p = fp.parse_element(parent, args.element)
     value = qm.rack_qm(family, p)
-    print(qm.format_fraction(value))
+    print(value)
     return OK
 
 
@@ -228,6 +228,8 @@ def _sampled_exponents(parent: fp.FreeProductRack, config: SamplerConfig) -> int
 
 
 def cmd_qm_defect(args) -> int:
+    if args.exhaustive is not None and not args.group:
+        raise CliInputError("--exhaustive enumerates group pairs; pass --group with it")
     parent, family = _load_family(args, args.family)
     config = _sampler(args)
     if (draws := _sampled_exponents(parent, config)) > SAMPLED_EXPONENTS:
@@ -262,8 +264,8 @@ def cmd_qm_defect(args) -> int:
             json.dumps(
                 {
                     "mode": mode,
-                    "observed": qm.format_fraction(estimate.max_defect),
-                    "bound": qm.format_fraction(bound),
+                    "observed": str(estimate.max_defect),
+                    "bound": str(bound),
                     "checked": estimate.checked,
                     "witness": list(estimate.witness),
                 }
@@ -297,7 +299,10 @@ def cmd_qm_witness(args) -> int:
 def cmd_qm_homogenize(args) -> int:
     pattern = parse_word(args.word)
     target = parse_word(args.target)
-    defect_bound = qm.parse_fraction(args.defect_bound)
+    try:
+        defect_bound = qm.parse_fraction(args.defect_bound)
+    except qm.QmError as exc:
+        raise CliInputError(f"--defect-bound: {exc}") from None
     try:
         tolerance = qm.parse_fraction(args.tolerance) if args.tolerance else None
     except qm.QmError as exc:
@@ -393,7 +398,7 @@ def cmd_certify_independence(args) -> int:
         print(json.dumps(cert.to_dict(), indent=2))
     else:
         for row in cert.matrix:
-            print("  ".join(qm.format_fraction(v) for v in row))
+            print("  ".join(str(v) for v in row))
         print(f"rank = {cert.verdict}")
     return OK if cert.verdict == args.rank else INVARIANT_VIOLATED
 

@@ -1,29 +1,26 @@
-"""Exact linear algebra over the rationals on sparse rows.
+"""Exact linear algebra on sparse integer rows.
 
 A matrix is a sequence of rows ``{column position: nonzero coefficient}``;
 the column count is known to the caller and never stored.  No floating point
-anywhere; entries are Python ints or Fractions.  Ranks come from
-fraction-free elimination: every row is scaled to an integer row and every
-pivot is kept primitive (coprime entries).  Scaling a row by a nonzero
-rational leaves its span over the rationals unchanged, so ranks are exact
-and no Fraction is built in the inner loop.
+anywhere; entries are Python ints.  Ranks are over the rationals and come
+from fraction-free elimination that keeps every pivot primitive (coprime
+entries).  A caller with rational rows scales each row to an integer row
+first, which leaves its span over the rationals unchanged.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping, Sequence
 
 __all__ = ["exact_rank", "sparse_matmul"]
 
 
-def exact_rank(rows: Sequence[Mapping[int, int | Fraction]], limit: int | None = None) -> int:
+def exact_rank(rows: Sequence[Mapping[int, int]], limit: int | None = None) -> int:
     """Rank over the rationals by fraction-free elimination on sparse rows,
     or ``min(rank, limit)`` when a ``limit`` is given.
 
-    Each nonempty row is scaled once by the lcm of its denominators to an
-    integer row, then reduced against the pivots met so far, keyed by their
+    Each nonempty row is reduced against the pivots met so far, keyed by their
     last (largest) column: with ``a, b`` the pivot's and the row's entries in
     that column divided by their gcd, ``row := a*row - b*pivot``, and a row
     scaled by ``a != 1`` is divided by its content (the gcd of its entries).
@@ -49,8 +46,7 @@ def exact_rank(rows: Sequence[Mapping[int, int | Fraction]], limit: int | None =
     for given in rows:
         if not given:
             continue
-        m = lcm(*[v.denominator for v in given.values()])
-        row = {j: v.numerator * (m // v.denominator) for j, v in given.items() if v}
+        row = {j: v for j, v in given.items() if v}
         while row:
             lead = max(row)
             pivot = pivots.get(lead)

@@ -82,7 +82,6 @@ __all__ = [
     "tail_group_word",
     "v0_dim",
     "parse_fraction",
-    "format_fraction",
     "family_entries",
     "family_from_dict",
     "family_to_dict",
@@ -108,11 +107,6 @@ def parse_fraction(text) -> Fraction:
 def _scaled(value: Fraction, d: int) -> int:
     """``d * value`` as an int, for d a multiple of ``value.denominator``."""
     return value.numerator * (d // value.denominator)
-
-
-def format_fraction(value: Fraction) -> str:
-    value = Fraction(value)
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -818,8 +812,11 @@ def family_entries(data) -> list[Mapping]:
 
 
 def family_from_dict(parent: FreeProductRack, data: Mapping) -> LambdaFamily:
+    entries = family_entries(data)
+    if unknown := {entry["factor"] for entry in entries} - set(parent.factor_names):
+        raise QmError(f"components for unknown factors {sorted(unknown)}")  # before parent.model
     components: list[Component] = []
-    for entry in family_entries(data):
+    for entry in entries:
         factor = entry["factor"]
         kind = entry.get("kind", "sign")
         if kind == "sign":
@@ -889,8 +886,8 @@ def family_to_dict(family: LambdaFamily) -> dict:
                     "factor": comp.factor,
                     "kind": "iota",
                     "generator": generator_name(comp.factor, comp.index),
-                    "sigma": {str(k): format_fraction(v) for k, v in comp.sigma.entries},
-                    "tail": format_fraction(comp.sigma.tail),
+                    "sigma": {str(k): str(v) for k, v in comp.sigma.entries},
+                    "tail": str(comp.sigma.tail),
                 }
             )
         elif isinstance(comp, TableComponent):
@@ -899,12 +896,12 @@ def family_to_dict(family: LambdaFamily) -> dict:
                     "factor": comp.factor,
                     "kind": "table",
                     "values": {
-                        render_value(family.parent.model(comp.factor), w): format_fraction(v)
+                        render_value(family.parent.model(comp.factor), w): str(v)
                         for w, v in comp.entries
                     },
-                    "bound": format_fraction(comp.bound),
+                    "bound": str(comp.bound),
                 }
             )
         else:
             entries.append({"factor": comp.factor, "kind": "zero"})
-    return {"family": entries, "bound": format_fraction(family.bound)}
+    return {"family": entries, "bound": str(family.bound)}

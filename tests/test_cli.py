@@ -225,6 +225,16 @@ def test_factors_and_sizes_together_exit_2(sign_family_file, capsys):
         assert captured.err.startswith("error: --factors and --sizes"), command
 
 
+@pytest.mark.parametrize("mode", [(), ("--rack",)])
+def test_qm_defect_rejects_exhaustive_without_group(sign_family_file, mode):
+    # --exhaustive enumerates group pairs; the rack estimate used to ignore it
+    result = run_cli("qm", "defect", sign_family_file, *mode, "--exhaustive", "3", "--samples", "5")
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: --exhaustive"), result.stderr
+    assert "--group" in result.stderr
+    assert result.stdout == ""
+
+
 def test_qm_defect_rejects_negative_exhaustive(sign_family_file):
     result = run_cli("qm", "defect", sign_family_file, "--group", "--exhaustive", "-1")
     assert result.returncode == 2
@@ -296,6 +306,7 @@ HOMOGENIZE = ("qm", "homogenize", "--word", "a b", "--target", "a b", "--defect-
          "--doublings", "0"),
         ("qm", "homogenize", "--target", "a", "--defect-bound", "2", "--doublings", "0",
          "--word", "a^2000000"),
+        (*HOMOGENIZE, "--defect-bound", "x"),
     ],
 )
 def test_qm_homogenize_rejects_bad_numeric_input(args):
@@ -415,6 +426,24 @@ def test_qm_defect_rejects_malformed_family_json(tmp_path, document):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: "), result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"factor": "c", "kind": "iota", "indicator": 1},
+        {"factor": "c", "kind": "table", "values": {}, "bound": "1"},
+        {"factor": "c", "kind": "sign"},
+    ],
+    ids=lambda entry: entry["kind"],
+)
+def test_a_component_on_an_unknown_factor_names_it(tmp_path, entry):
+    # iota and table entries used to print the repr of a KeyError
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"family": [entry]}))
+    result = run_cli("qm", "defect", str(path), "--factors", "a,b", "--samples", "10")
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: components for unknown factors ['c']\n"
 
 
 def test_table_component_without_a_bound_names_it(tmp_path):
@@ -551,6 +580,18 @@ def test_sampled_work_budget_admits_the_defaults_on_stock_parents():
         draws = cli._sampled_exponents(parent, config)
         assert draws == 2 * 10_000 * 12 * max(f.rank for f in parent.factors)
         assert draws <= cli.SAMPLED_EXPONENTS
+
+
+@pytest.mark.parametrize(
+    "sizes, entry", [("a=2,a=3,b=1", "a=3"), ("a=2,b=x", "b=x"), ("a,b=1", "a")]
+)
+def test_fp_sizes_rejects_a_bad_entry(sizes, entry):
+    # a repeated name used to keep its last count, and a count that is not an
+    # integer printed int()'s message
+    result = run_cli("fp", "op", "a.0 |", "b.0 |", "--sizes", sizes)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: bad --sizes entry {entry!r}"), result.stderr
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("sizes", ["a=-1,b=2", "a=0,b=2", "a=21,b=2", "a=100000000,b=3"])

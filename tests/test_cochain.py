@@ -3,6 +3,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -120,6 +121,16 @@ def _fraction_rank(rows):
                 else:
                     del row[j]
     return len(pivots)
+
+
+def integer_rows(rows):
+    """Each rational row times the lcm of its denominators: the integer rows
+    ``exact_rank`` takes, with the same span and so the same rank."""
+    scaled = []
+    for row in rows:
+        m = lcm(*(Fraction(v).denominator for v in row.values()))
+        scaled.append({j: int(v * m) for j, v in row.items()})
+    return scaled
 
 
 def densify(rows, cols):
@@ -307,9 +318,9 @@ def test_rank_of_rational_rows_against_sympy():
              for _ in range(cols)]
             for _ in range(rows)
         ]
-        given = [dict(enumerate(row)) for row in dense]
+        given = integer_rows([dict(enumerate(row)) for row in dense])
         assert exact_rank(given) == sympy.Matrix(rows, cols, sum(dense, [])).rank()
-        assert given == [dict(enumerate(row)) for row in dense]  # input left as it was
+        assert given == integer_rows([dict(enumerate(row)) for row in dense])  # left as it was
 
 
 def test_exact_rank_matches_fraction_oracle_on_coboundaries():
@@ -366,7 +377,7 @@ def test_exact_rank_of_rank_deficient_products_against_sympy():
 
 def test_exact_rank_mixed_denominators_zero_rows_and_empty_input():
     assert exact_rank([]) == 0
-    assert exact_rank([{}, {0: 0, 3: Fraction(0)}, {}]) == 0
+    assert exact_rank(integer_rows([{}, {0: 0, 3: Fraction(0)}, {}])) == 0
     rows = [
         {0: Fraction(1, 2), 1: Fraction(1, 3), 2: 1},
         {},
@@ -374,9 +385,16 @@ def test_exact_rank_mixed_denominators_zero_rows_and_empty_input():
         {0: 0, 1: Fraction(-5, 6), 2: Fraction(7, 4)},
         {2: Fraction(11, 4), 0: Fraction(1, 2), 1: Fraction(-1, 2)},  # first + fourth
     ]
-    assert exact_rank(rows) == _fraction_rank(rows) == 2
-    assert exact_rank(rows + [{3: Fraction(-2, 9)}]) == 3
-    assert exact_rank([{5: Fraction(3, 7)}, {5: -4}, {4: Fraction(1, 10**9), 5: 10**9}]) == 2
+    assert exact_rank(integer_rows(rows)) == _fraction_rank(rows) == 2
+    assert exact_rank(integer_rows(rows + [{3: Fraction(-2, 9)}])) == 3
+    rows = [{5: Fraction(3, 7)}, {5: -4}, {4: Fraction(1, 10**9), 5: 10**9}]
+    assert exact_rank(integer_rows(rows)) == _fraction_rank(rows) == 2
+
+
+def test_exact_rank_rejects_a_fraction_entry():
+    # rational rows are scaled to integers by the caller, never inside
+    with pytest.raises(TypeError):
+        exact_rank([{0: Fraction(1, 2)}])
 
 
 def test_exact_rank_leaves_its_input_unmodified():
@@ -386,17 +404,18 @@ def test_exact_rank_leaves_its_input_unmodified():
         for _ in range(8)
     ]
     for rows in (
-        fraction_rows,
+        integer_rows(fraction_rows),
         coboundary(dihedral_quandle(5), 2).entries,
         quandle_coboundary(conjugation_rack(symmetric_group(3)), 2)[2],
     ):
-        before = repr(rows)  # repr tells 1 from Fraction(1), which == does not
+        before = repr(rows)
         exact_rank(rows)
         assert repr(rows) == before
 
 
 def _limit_cases():
-    """Coboundary rows of every built-in in both modes, and random rational rows."""
+    """Coboundary rows of every built-in in both modes, and random rational rows
+    scaled to integer rows."""
     for rack in builtin_racks(max_size=4):
         for k in (1, 2, 3):
             yield f"{rack.name}/{k}/rack", coboundary(rack, k).entries
@@ -404,11 +423,11 @@ def _limit_cases():
     rng = random.Random(21)
     for i in range(40):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        yield f"random/{i}", [
+        yield f"random/{i}", integer_rows([
             {j: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for j in range(cols)
              if rng.random() < 0.6}
             for _ in range(rows)
-        ]
+        ])
 
 
 def test_exact_rank_with_a_limit_is_the_rank_capped_at_the_limit():
@@ -423,11 +442,11 @@ def test_exact_rank_with_a_limit_is_the_rank_capped_at_the_limit():
 
 
 def test_exact_rank_stops_reading_rows_at_the_limit():
-    # a row past the limit-th pivot is never read: "x" has no denominator
+    # a row past the limit-th pivot is never read: "x" has no gcd
     poisoned = [{0: 1}, {0: 2}, {1: 3}, {2: "x"}]
     assert exact_rank(poisoned, limit=2) == 2
     assert exact_rank(poisoned, limit=0) == 0
-    with pytest.raises(AttributeError):
+    with pytest.raises(TypeError):
         exact_rank(poisoned, limit=3)
     with pytest.raises(ValueError, match="limit"):
         exact_rank([{0: 1}], limit=-1)
