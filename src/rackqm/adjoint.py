@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .racks import FiniteRack, components, is_generating
 from .words import GroupWord
@@ -111,17 +111,54 @@ class TrivialRackModel:
             raise ValueError(f"factor {self.factor!r} has no element {key}")
         return key
 
+    def key_sampler(self, getrandbits, bound: int) -> Callable[[], int]:
+        """Draws a uniform carrier element, ``randrange(rank)``; ``bound`` is
+        ignored, the carrier being finite."""
+        n = self.rank
+        k = n.bit_length()
+
+        def draw() -> int:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return r
+
+        return draw
+
+    def value_sampler(self, getrandbits, max_exponent: int) -> Callable[[], Value]:
+        """Draws a uniformly random nonzero value with exponents in [-max, max]:
+        ``randint(-max, max)`` per entry, until one is nonzero."""
+        _check_max_exponent(max_exponent)
+        width = 2 * max_exponent + 1
+        k = width.bit_length()
+        entries = range(self.rank)
+
+        def draw_one() -> Value:  # rank 1: the same draws, without the list
+            while True:
+                r = getrandbits(k)
+                while r >= width:
+                    r = getrandbits(k)
+                if r != max_exponent:
+                    return (r - max_exponent,)
+
+        def draw() -> Value:
+            while True:
+                value = []
+                for _ in entries:
+                    r = getrandbits(k)
+                    while r >= width:
+                        r = getrandbits(k)
+                    value.append(r - max_exponent)
+                if any(value):
+                    return tuple(value)
+
+        return draw_one if self.rank == 1 else draw
+
     def sample_key(self, rng: random.Random, bound: int) -> int:
-        return _below(rng.getrandbits, self.rank)
+        return self.key_sampler(rng.getrandbits, bound)()
 
     def sample_value(self, rng: random.Random, max_exponent: int) -> Value:
-        """A uniformly random nonzero value with exponents in [-max, max]."""
-        _check_max_exponent(max_exponent)
-        getrandbits, width, rank = rng.getrandbits, 2 * max_exponent + 1, self.rank
-        while True:  # randint(-max, max) per entry, until one is nonzero
-            value = tuple([_below(getrandbits, width) - max_exponent for _ in range(rank)])
-            if any(value):
-                return value
+        return self.value_sampler(rng.getrandbits, max_exponent)()
 
     def enumerate_values(self, max_exponent: int) -> Iterator[Value]:
         """All nonzero values with exponents in [-max, max] (small ranks only)."""
@@ -163,16 +200,42 @@ class FreeRackFactorModel:
     def validate_key(self, key: int) -> int:
         return key
 
-    def sample_key(self, rng: random.Random, bound: int) -> int:
+    def key_sampler(self, getrandbits, bound: int) -> Callable[[], int]:
+        """Draws a carrier key, ``randint(-bound, bound)``."""
         if bound < 0:
             raise ValueError(f"bound must be at least 0, got {bound}")
-        return _below(rng.getrandbits, 2 * bound + 1) - bound  # randint(-bound, bound)
+        n = 2 * bound + 1
+        k = n.bit_length()
+
+        def draw() -> int:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return r - bound
+
+        return draw
+
+    def value_sampler(self, getrandbits, max_exponent: int) -> Callable[[], Value]:
+        """Draws ``randint(1, max)`` times ``choice((1, -1))``, in that order."""
+        _check_max_exponent(max_exponent)
+        k = max_exponent.bit_length()
+
+        def draw() -> Value:
+            r = getrandbits(k)
+            while r >= max_exponent:
+                r = getrandbits(k)
+            sign = getrandbits(2)  # choice of two draws 2 bits, as _below(gb, 2)
+            while sign >= 2:
+                sign = getrandbits(2)
+            return (-1 - r,) if sign else (1 + r,)
+
+        return draw
+
+    def sample_key(self, rng: random.Random, bound: int) -> int:
+        return self.key_sampler(rng.getrandbits, bound)()
 
     def sample_value(self, rng: random.Random, max_exponent: int) -> Value:
-        _check_max_exponent(max_exponent)
-        getrandbits = rng.getrandbits
-        # randint(1, max) times choice((1, -1)), drawn in that order
-        return ((1 + _below(getrandbits, max_exponent)) * (1, -1)[_below(getrandbits, 2)],)
+        return self.value_sampler(rng.getrandbits, max_exponent)()
 
     def enumerate_values(self, max_exponent: int) -> Iterator[Value]:
         for exp in range(-max_exponent, max_exponent + 1):
@@ -193,8 +256,11 @@ def _below(getrandbits, n: int) -> int:
     until the result is below n.  So on the same generator
     ``a + _below(gb, b - a + 1)`` is ``randint(a, b)``, ``_below(gb, n)`` is
     ``randrange(n)`` and ``seq[_below(gb, len(seq))]`` is ``choice(seq)``,
-    without their argument checks.  Every sampler in the library draws
-    through it.
+    without their argument checks.  It is the reference draw of the stream
+    contract in :mod:`rackqm.sampling`: the compiled samplers
+    (``key_sampler``, ``value_sampler`` and the ``sampling`` closures) inline
+    this loop with the bit length worked out in advance, and must make the
+    same ``getrandbits`` calls that it makes.
     """
     if n < 1:  # getrandbits(0) is always 0, and nothing is below n < 1
         raise ValueError(f"empty range: cannot draw below {n}")

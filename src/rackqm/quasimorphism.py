@@ -45,10 +45,12 @@ from .free_product import (
 from .racks import GroupTable
 from .sampling import (
     SamplerConfig,
+    element_sampler,
     enumerate_syllable_words,
     make_rng,
-    sample_element,
+    sample_element,  # not called here either; the tracer patches both on this module
     sample_syllable_word,
+    word_sampler,
 )
 from .words import GroupWord, parse_abelian
 
@@ -490,10 +492,9 @@ def group_defect_estimate(
                 for g, _, _ in gs:
                     consider(g, hs)
 
-    rng = make_rng(config)
+    draw = word_sampler(parent, make_rng(config), config.max_syllables, config.max_exponent)
     for _ in range(config.samples):
-        g = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
-        h = sample_syllable_word(parent, rng, config.max_syllables, config.max_exponent)
+        g, h = draw(), draw()
         consider(g, (bind(h),))
 
     return DefectEstimate(Fraction(best, family.denominator), witness, checked)
@@ -503,13 +504,13 @@ def rack_defect_estimate(
     family: LambdaFamily, config: SamplerConfig = SamplerConfig()
 ) -> DefectEstimate:
     """Max of ``|phi(p) - phi(p <| q)|`` over seeded random element pairs."""
-    parent = family.parent
-    rng = make_rng(config)
+    draw = element_sampler(
+        family.parent, make_rng(config), config.max_syllables, config.max_exponent
+    )
     best = 0  # times the family's denominator
     witness = ("", "")
     for _ in range(config.samples):
-        p = sample_element(parent, rng, config.max_syllables, config.max_exponent)
-        q = sample_element(parent, rng, config.max_syllables, config.max_exponent)
+        p, q = draw(), draw()
         defect = abs(_increment(family, p, q))
         if defect > best:
             best = defect
@@ -522,9 +523,11 @@ def check_cocycle_diag(
 ) -> tuple[bool, int]:
     """Diagonal of the quasimorphism coboundary: sampled reduced p must give
     ``phi(p) - phi(p <| p) = 0`` exactly.  Returns (all zero, samples)."""
-    rng = make_rng(config)
+    draw = element_sampler(
+        family.parent, make_rng(config), config.max_syllables, config.max_exponent
+    )
     for i in range(config.samples):
-        p = sample_element(family.parent, rng, config.max_syllables, config.max_exponent)
+        p = draw()
         if _increment(family, p, p):
             return False, i + 1
     return True, config.samples
@@ -558,12 +561,10 @@ def bounded_2cocycle_check(
     if worst > bound:
         raise AssertionError(f"observed |d phi| = {worst} exceeds the bound {bound}")
 
-    rng = make_rng(config)
+    draw = element_sampler(parent, make_rng(config), config.max_syllables, config.max_exponent)
     all_zero = True
     for _ in range(dd_triples):
-        p = sample_element(parent, rng, config.max_syllables, config.max_exponent)
-        q = sample_element(parent, rng, config.max_syllables, config.max_exponent)
-        r = sample_element(parent, rng, config.max_syllables, config.max_exponent)
+        p, q, r = draw(), draw(), draw()
         if (
             _increment(family, p, r)
             - _increment(family, p, q)

@@ -5,27 +5,40 @@ Every randomized estimate in the library draws through a
 values already in canonical form (alternating factors, nonzero values),
 which keeps the hot paths allocation-light.
 
+A sampler is compiled once per estimate: :func:`word_sampler` and
+:func:`element_sampler` check their arguments, work out every bit length,
+and return a zero-argument closure that only draws.  Each factor model
+compiles its own key and value draws (``key_sampler``/``value_sampler``), so
+each model's draw logic is written in one place, and the parent's
+``successors`` table carries the count and bit length of each factor draw.
+:func:`sample_syllable_word` and :func:`sample_element` are one draw of
+those closures; each reuses the closure it compiled last on the parent
+while the generator and shape stay the same.
+
 The stream is part of the contract: samplers take a plain
 :class:`random.Random`, and every integer they draw is exactly the draw that
 CPython 3.11's ``randint``, ``randrange`` or ``choice`` would make on that
-generator.  They draw through ``adjoint._below``, which calls
-``getrandbits`` as ``Random._randbelow`` does but skips the argument
-checks, so seeded witnesses and CLI output do not depend on which of the two
-made the draw.
+generator.  ``adjoint._below`` is the reference draw: a uniform int below n
+is ``getrandbits(n.bit_length())`` repeated until it is below n, as in
+``Random._randbelow``.  The compiled closures inline that loop with the bit
+length worked out in advance, so seeded witnesses and CLI output do not
+depend on which of the three made a draw.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .adjoint import Value, _below
+from .adjoint import Value
 from .free_product import FreeProductElement, FreeProductRack, SyllableWord
 
 __all__ = [
     "SamplerConfig",
     "make_rng",
+    "word_sampler",
+    "element_sampler",
     "sample_syllable_word",
     "sample_element",
     "enumerate_syllable_words",
@@ -54,6 +67,80 @@ def make_rng(config: SamplerConfig) -> random.Random:
     return random.Random(config.seed)
 
 
+def word_sampler(
+    parent: FreeProductRack,
+    rng: random.Random,
+    max_syllables: int,
+    max_exponent: int,
+    avoid_leading: str | None = None,
+) -> Callable[[], SyllableWord]:
+    """A closure that draws random alternating words of up to
+    ``max_syllables`` syllables; ``avoid_leading`` (a factor of ``parent``)
+    keeps the first syllable out of that factor.
+
+    Every argument is checked here, before any draw.  The closure also takes
+    the factor to avoid as an optional argument, which is how
+    :func:`element_sampler` draws a tail after its base.
+    """
+    if max_syllables < 0:
+        raise ValueError(f"max_syllables must be at least 0, got {max_syllables}")
+    successors = parent.successors  # prev -> (count, bit length, factor names)
+    if avoid_leading not in successors:  # its keys are None and every factor
+        raise ValueError(f"avoid_leading must be None or a factor, got {avoid_leading!r}")
+    getrandbits = rng.getrandbits
+    values = {f.factor: f.value_sampler(getrandbits, max_exponent) for f in parent.factors}
+    k = (max_syllables + 1).bit_length()
+
+    def draw(previous: str | None = avoid_leading) -> SyllableWord:
+        length = getrandbits(k)
+        while length > max_syllables:
+            length = getrandbits(k)
+        syllables = []
+        for _ in range(length):
+            count, bits, options = successors[previous]
+            i = getrandbits(bits)
+            while i >= count:
+                i = getrandbits(bits)
+            previous = options[i]
+            syllables.append((previous, values[previous]()))
+        return SyllableWord(tuple(syllables))
+
+    return draw
+
+
+def element_sampler(
+    parent: FreeProductRack,
+    rng: random.Random,
+    max_syllables: int,
+    max_exponent: int,
+) -> Callable[[], FreeProductElement]:
+    """A closure that draws random reduced elements with bounded tail; each
+    is already canonical.  Every argument is checked here, before any draw."""
+    tail = word_sampler(parent, rng, max_syllables, max_exponent)
+    getrandbits = rng.getrandbits
+    count, bits, names = parent.successors[None]
+    keys = [f.key_sampler(getrandbits, max_exponent) for f in parent.factors]
+
+    def draw() -> FreeProductElement:
+        i = getrandbits(bits)
+        while i >= count:
+            i = getrandbits(bits)
+        factor = names[i]
+        return FreeProductElement(parent, factor, keys[i](), tail(factor))
+
+    return draw
+
+
+def _draw_once(build, parent: FreeProductRack, rng: random.Random, *shape):
+    # A compiled sampler keeps no state but its generator's, so the one built
+    # last for the same generator and shape draws exactly what a fresh one
+    # would: a loop of one-shot draws compiles once, not once per draw.
+    last = parent._samplers.get(build)
+    if last is None or last[0] is not rng or last[1] != shape:
+        last = parent._samplers[build] = (rng, shape, build(parent, rng, *shape))
+    return last[2]()
+
+
 def sample_syllable_word(
     parent: FreeProductRack,
     rng: random.Random,
@@ -61,23 +148,8 @@ def sample_syllable_word(
     max_exponent: int,
     avoid_leading: str | None = None,
 ) -> SyllableWord:
-    """A random alternating word of up to ``max_syllables`` syllables;
-    ``avoid_leading`` (a factor of ``parent``) keeps the first syllable out
-    of that factor."""
-    if max_syllables < 0:
-        raise ValueError(f"max_syllables must be at least 0, got {max_syllables}")
-    getrandbits = rng.getrandbits
-    length = _below(getrandbits, max_syllables + 1)
-    choices = parent.successors
-    model = parent.model
-    syllables: list[tuple[str, Value]] = []
-    previous = avoid_leading
-    for _ in range(length):
-        options = choices[previous]
-        name = options[_below(getrandbits, len(options))]
-        syllables.append((name, model(name).sample_value(rng, max_exponent)))
-        previous = name
-    return SyllableWord(tuple(syllables))
+    """One draw of :func:`word_sampler`."""
+    return _draw_once(word_sampler, parent, rng, max_syllables, max_exponent, avoid_leading)
 
 
 def sample_element(
@@ -86,15 +158,8 @@ def sample_element(
     max_syllables: int,
     max_exponent: int,
 ) -> FreeProductElement:
-    """A random reduced element with bounded tail; already canonical."""
-    names = parent.factor_names
-    factor = names[_below(rng.getrandbits, len(names))]
-    model = parent.model(factor)
-    key = model.sample_key(rng, max_exponent)
-    tail = sample_syllable_word(
-        parent, rng, max_syllables, max_exponent, avoid_leading=factor
-    )
-    return FreeProductElement(parent, factor, key, tail)
+    """One draw of :func:`element_sampler`."""
+    return _draw_once(element_sampler, parent, rng, max_syllables, max_exponent)
 
 
 def enumerate_syllable_words(

@@ -87,6 +87,46 @@ GROUP_DEFECT = {
     "witness": ["a.0^-2", "a.0^-2"],
 }
 
+# sampled defects on the free quandle, a trivial-rack product and a
+# three-factor free rack, where the stream takes the paths that the free
+# rack's two factors never take
+OFF_THE_FREE_RACK = {
+    ("rack", "quandle"): (
+        ["--quandle"], "2", "4",
+        ["a.0 | b.0^-4 a.0^4 b.0 a.0^3 b.0^3 a.0^-5", "b.0 | a.0^4"],
+    ),
+    ("rack", "sizes"): (
+        ["--sizes", "a=2,b=3"], "2", "4",
+        [
+            "b.2 | a.0^2 a.1^-4 b.0^-5 b.2^4",
+            "a.0 | b.1^-3 b.2^-4 a.0^-4 b.0^-4 b.1^-2 b.2 a.0^2 b.0^-5 b.1 b.2^-4 a.0^-3 a.1 "
+            "b.0^2 b.1^-4 b.2^3",
+        ],
+    ),
+    ("rack", "factors"): (
+        ["--factors", "a,b,c"], "2", "4",
+        ["a.0 | a.0^-2", "a.0 | a.0^4 b.0 a.0^5 c.0^4 a.0^-1 c.0^-3 a.0"],
+    ),
+    ("group", "quandle"): (
+        ["--quandle"], "1", "3",
+        ["a.0^-4 b.0^-3 a.0^-1 b.0 a.0^-5 b.0 a.0^3", "a.0^-5 b.0^-5 a.0^-4 b.0^-2"],
+    ),
+    ("group", "sizes"): (
+        ["--sizes", "a=2,b=3"], "1", "3",
+        [
+            "a.0^-4 a.1^-4 b.0^-2 b.1 b.2^-1 a.0^-3 a.1^-5 b.2^-3",
+            "b.0^2 b.1^3 b.2 a.0^4 a.1^3 b.0 b.1^5 b.2^-2 a.0 a.1^-1 b.0^3 b.2^-5 a.0^4",
+        ],
+    ),
+    ("group", "factors"): (
+        ["--factors", "a,b,c"], "1", "3",
+        [
+            "b.0^-2 c.0^-4 a.0^-5 c.0^-2 b.0^-3",
+            "b.0^-1 c.0^-1 a.0^-1 c.0^-3 b.0^4 a.0^-1 c.0^-4 b.0^-2",
+        ],
+    ),
+}
+
 WITNESS = {
     "components": 2,
     "components_method": "factor-orbit sum",
@@ -183,6 +223,17 @@ CASES = {
         json.dumps(GROUP_DEFECT) + "\n",
     ),
     "qm-witness": (["qm", "witness", "{sign}", "--json"], json.dumps(WITNESS) + "\n"),
+    **{
+        f"qm-defect-{mode}-{name}": (
+            ["qm", "defect", "{sign}", f"--{mode}", "--samples", "300", "--seed", "3",
+             "--json", *flags],
+            json.dumps(
+                {"mode": mode, "observed": observed, "bound": bound, "checked": 300,
+                 "witness": witness}
+            ) + "\n",
+        )
+        for (mode, name), (flags, observed, bound, witness) in OFF_THE_FREE_RACK.items()
+    },
     "qm-homogenize": (
         ["qm", "homogenize", "--word", "a b", "--target", "a b", "--defect-bound", "2"],
         HOMOGENIZE,

@@ -17,9 +17,9 @@ import textwrap
 import pytest
 
 import rackqm
-from rackqm.adjoint import _below
+from rackqm.adjoint import FreeRackFactorModel, _below
 from rackqm.free_product import free_quandle, free_rack, trivial_product
-from rackqm.sampling import sample_element
+from rackqm.sampling import element_sampler, sample_element, sample_syllable_word, word_sampler
 
 WIDTHS = [1, 2, 3, 4, 5, 7, 8, 11, 2**31 - 1, 2**31 + 1, 2**64 + 1]
 
@@ -120,3 +120,90 @@ def test_empty_ranges_raise_instead_of_hanging():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+def _reference_value(model, rng, max_exponent):
+    # the draws the models made with randint and choice, before _below
+    if isinstance(model, FreeRackFactorModel):
+        return (rng.randint(1, max_exponent) * rng.choice((1, -1)),)
+    while True:
+        value = tuple(rng.randint(-max_exponent, max_exponent) for _ in range(model.rank))
+        if any(value):
+            return value
+
+
+def _reference_element(parent, rng, max_syllables, max_exponent):
+    factor = rng.choice(parent.factor_names)
+    model = parent.model(factor)
+    if isinstance(model, FreeRackFactorModel):
+        key = rng.randint(-max_exponent, max_exponent)
+    else:  # a trivial rack: a uniform carrier element
+        key = rng.randrange(model.rank)
+    return factor, key, _reference_word(parent, rng, max_syllables, max_exponent, factor)
+
+
+def _reference_word(parent, rng, max_syllables, max_exponent, previous=None):
+    syllables = []
+    for _ in range(rng.randint(0, max_syllables)):
+        previous = rng.choice([n for n in parent.factor_names if n != previous])
+        syllables.append((previous, _reference_value(parent.model(previous), rng, max_exponent)))
+    return tuple(syllables)
+
+
+THREE_FACTORS = {
+    "FR3": free_rack(["a", "b", "c"]),
+    "T2*T1*T3": trivial_product({"a": 2, "b": 1, "c": 3}),
+}
+
+
+@pytest.mark.parametrize("name", THREE_FACTORS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_three_factor_elements_replay_randint_and_choice(name, shape):
+    # with three factors every syllable's factor is a two-way draw, which the
+    # pinned two-factor digest never makes; the built sampler and the one-shot
+    # draw must both replay the reference, draw by draw
+    parent = THREE_FACTORS[name]
+    for seed in range(10):
+        built, once, ref = random.Random(seed), random.Random(seed), random.Random(seed)
+        draw = element_sampler(parent, built, *shape)
+        for _ in range(30):
+            expected = _reference_element(parent, ref, *shape)
+            for p in (draw(), sample_element(parent, once, *shape)):
+                assert (p.base_factor, p.base_key, p.tail.syllables) == expected
+            assert built.getstate() == once.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("name", THREE_FACTORS)
+@pytest.mark.parametrize("avoid", [None, "b"])
+def test_three_factor_words_replay_randint_and_choice(name, avoid):
+    parent = THREE_FACTORS[name]
+    for seed in range(10):
+        built, once, ref = random.Random(seed), random.Random(seed), random.Random(seed)
+        draw = word_sampler(parent, built, 5, 2, avoid_leading=avoid)
+        for _ in range(30):
+            expected = _reference_word(parent, ref, 5, 2, avoid)
+            assert draw().syllables == expected
+            assert sample_syllable_word(parent, once, 5, 2, avoid).syllables == expected
+            assert built.getstate() == once.getstate() == ref.getstate()
+
+
+BAD_ARGUMENTS = [  # (the argument the error must name, a call on a generator)
+    ("avoid_leading", lambda rng: sample_syllable_word(PARENTS["FR"], rng, 2, 3, "zz")),
+    ("avoid_leading", lambda rng: word_sampler(PARENTS["T2*T3"], rng, 2, 3, "zz")),
+    ("max_exponent", lambda rng: sample_element(PARENTS["FR"], rng, 3, 0)),
+    ("max_exponent", lambda rng: sample_element(PARENTS["FR"], rng, 0, 0)),
+    ("max_exponent", lambda rng: element_sampler(PARENTS["T2*T3"], rng, 3, 0)),
+    ("max_exponent", lambda rng: sample_syllable_word(PARENTS["FQ"], rng, 0, -1)),
+    ("max_syllables", lambda rng: element_sampler(PARENTS["FQ"], rng, -1, 3)),
+]
+
+
+@pytest.mark.parametrize("name, call", BAD_ARGUMENTS)
+def test_bad_sampler_arguments_fail_whatever_the_seed(name, call):
+    # each is checked when the sampler is built, so no draw decides it
+    for seed in range(50):
+        rng = random.Random(seed)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=name):
+            call(rng)
+        assert rng.getstate() == state
