@@ -95,7 +95,8 @@ class FreeProductRack:
     order, the ``count`` factors a syllable may take after a syllable of
     factor ``prev`` (after ``None``: every factor); the bit length is that
     of a seeded draw among them.  ``_samplers`` holds the sampler that each
-    of :mod:`rackqm.sampling`'s one-shot draws compiled last on this parent.
+    of :mod:`rackqm.sampling`'s one-shot draws compiled last on this parent,
+    which keeps that sampler's generator alive.
     """
 
     factors: tuple[FactorModel, ...]
