@@ -187,6 +187,21 @@ def test_three_factor_words_replay_randint_and_choice(name, avoid):
             assert built.getstate() == once.getstate() == ref.getstate()
 
 
+def test_one_shot_draws_follow_their_generator_and_shape():
+    # a one-shot draw reuses the sampler compiled last on the parent, so
+    # switching generator, shape or avoided factor must compile anew
+    parent = PARENTS["T2*T3"]
+    mine, ref = [random.Random(1), random.Random(2)], [random.Random(1), random.Random(2)]
+    for i in range(40):
+        shape, avoid = SHAPES[i % len(SHAPES)], (None, "a", "b")[i % 3]
+        for rng, twin in zip(mine, ref):
+            assert sample_element(parent, rng, *shape) == element_sampler(parent, twin, *shape)()
+            assert sample_syllable_word(parent, rng, *shape, avoid) == word_sampler(
+                parent, twin, *shape, avoid
+            )()
+        assert [r.getstate() for r in mine] == [r.getstate() for r in ref]
+
+
 BAD_ARGUMENTS = [  # (the argument the error must name, a call on a generator)
     ("avoid_leading", lambda rng: sample_syllable_word(PARENTS["FR"], rng, 2, 3, "zz")),
     ("avoid_leading", lambda rng: word_sampler(PARENTS["T2*T3"], rng, 2, 3, "zz")),
