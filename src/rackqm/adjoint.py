@@ -133,14 +133,6 @@ class TrivialRackModel:
         k = width.bit_length()
         entries = range(self.rank)
 
-        def draw_one() -> Value:  # rank 1: the same draws, without the list
-            while True:
-                r = getrandbits(k)
-                while r >= width:
-                    r = getrandbits(k)
-                if r != max_exponent:
-                    return (r - max_exponent,)
-
         def draw() -> Value:
             while True:
                 value = []
@@ -152,7 +144,7 @@ class TrivialRackModel:
                 if any(value):
                     return tuple(value)
 
-        return draw_one if self.rank == 1 else draw
+        return draw
 
     def sample_key(self, rng: random.Random, bound: int) -> int:
         return self.key_sampler(rng.getrandbits, bound)()

@@ -90,22 +90,17 @@ class FreeProductRack:
 
     ``factor_names``, the name -> model lookup and ``successors`` are derived
     from ``factors`` once, and take no part in equality, hashing or repr.
-    ``successors`` is read-only: ``successors[prev]`` is
-    ``(count, count.bit_length(), options)``, where ``options`` lists, in
-    order, the ``count`` factors a syllable may take after a syllable of
-    factor ``prev`` (after ``None``: every factor); the bit length is that
-    of a seeded draw among them.  ``_samplers`` holds the sampler that each
-    of :mod:`rackqm.sampling`'s one-shot draws compiled last on this parent,
-    which keeps that sampler's generator alive.
+    ``successors`` is read-only: ``successors[prev]`` lists, in order, the
+    factors a syllable may take after a syllable of factor ``prev`` (after
+    ``None``: every factor).
     """
 
     factors: tuple[FactorModel, ...]
     factor_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    successors: Mapping[str | None, tuple[int, int, tuple[str, ...]]] = field(
+    successors: Mapping[str | None, tuple[str, ...]] = field(
         init=False, compare=False, repr=False
     )
     _models: dict[str, FactorModel] = field(init=False, compare=False, repr=False)
-    _samplers: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.factors) < 2:
@@ -116,14 +111,12 @@ class FreeProductRack:
         for name in names:
             if not _FACTOR_NAME.match(name):
                 raise ValueError(f"bad factor name {name!r}")
-        successors = {}
-        for prev in (None, *names):
-            options = tuple(n for n in names if n != prev)
-            successors[prev] = (len(options), len(options).bit_length(), options)
+        successors = MappingProxyType(
+            {prev: tuple(n for n in names if n != prev) for prev in (None, *names)}
+        )
         object.__setattr__(self, "factor_names", names)
-        object.__setattr__(self, "successors", MappingProxyType(successors))
+        object.__setattr__(self, "successors", successors)
         object.__setattr__(self, "_models", dict(zip(names, self.factors)))
-        object.__setattr__(self, "_samplers", {})
 
     @property
     def quandle(self) -> bool:

@@ -9,11 +9,10 @@ A sampler is compiled once per estimate: :func:`word_sampler` and
 :func:`element_sampler` check their arguments, work out every bit length,
 and return a zero-argument closure that only draws.  Each factor model
 compiles its own key and value draws (``key_sampler``/``value_sampler``), so
-each model's draw logic is written in one place, and the parent's
-``successors`` table carries the count and bit length of each factor draw.
+each model's draw logic is written in one place.
 :func:`sample_syllable_word` and :func:`sample_element` are one draw of
-those closures; each reuses the closure it compiled last on the parent
-while the generator and shape stay the same.
+those closures; each reuses the closure it compiled last while the parent,
+the generator and the shape stay the same.
 
 The stream is part of the contract: samplers take a plain
 :class:`random.Random`, and every integer they draw is exactly the draw that
@@ -84,9 +83,13 @@ def word_sampler(
     """
     if max_syllables < 0:
         raise ValueError(f"max_syllables must be at least 0, got {max_syllables}")
-    successors = parent.successors  # prev -> (count, bit length, factor names)
-    if avoid_leading not in successors:  # its keys are None and every factor
+    if avoid_leading not in parent.successors:  # its keys are None and every factor
         raise ValueError(f"avoid_leading must be None or a factor, got {avoid_leading!r}")
+    # prev -> (count, bit length, options): one seeded draw among the options
+    successors = {
+        prev: (len(options), len(options).bit_length(), options)
+        for prev, options in parent.successors.items()
+    }
     getrandbits = rng.getrandbits
     values = {f.factor: f.value_sampler(getrandbits, max_exponent) for f in parent.factors}
     k = (max_syllables + 1).bit_length()
@@ -118,7 +121,8 @@ def element_sampler(
     is already canonical.  Every argument is checked here, before any draw."""
     tail = word_sampler(parent, rng, max_syllables, max_exponent)
     getrandbits = rng.getrandbits
-    count, bits, names = parent.successors[None]
+    names = parent.factor_names
+    count, bits = len(names), len(names).bit_length()
     keys = [f.key_sampler(getrandbits, max_exponent) for f in parent.factors]
 
     def draw() -> FreeProductElement:
@@ -131,14 +135,25 @@ def element_sampler(
     return draw
 
 
+_last = {}  # builder -> (parent, rng, shape, its types, the sampler built)
+
+
 def _draw_once(build, parent: FreeProductRack, rng: random.Random, *shape):
     # A compiled sampler keeps no state but its generator's, so the one built
-    # last for the same generator and shape draws exactly what a fresh one
-    # would: a loop of one-shot draws compiles once, not once per draw.
-    last = parent._samplers.get(build)
-    if last is None or last[0] is not rng or last[1] != shape:
-        last = parent._samplers[build] = (rng, shape, build(parent, rng, *shape))
-    return last[2]()
+    # last for the same parent, generator and shape draws exactly what a
+    # fresh one would: a loop of one-shot draws compiles once, not once per
+    # draw.  The shape's types take part, so 4.0 fails as it would when built.
+    types = tuple(map(type, shape))
+    last = _last.get(build)
+    if (
+        last is None
+        or last[0] is not parent
+        or last[1] is not rng
+        or last[2] != shape
+        or last[3] != types
+    ):
+        last = _last[build] = (parent, rng, shape, types, build(parent, rng, *shape))
+    return last[4]()
 
 
 def sample_syllable_word(
@@ -148,7 +163,7 @@ def sample_syllable_word(
     max_exponent: int,
     avoid_leading: str | None = None,
 ) -> SyllableWord:
-    """One draw of :func:`word_sampler`."""
+    """One draw of :func:`word_sampler`; see :func:`sample_element`."""
     return _draw_once(word_sampler, parent, rng, max_syllables, max_exponent, avoid_leading)
 
 
@@ -158,7 +173,13 @@ def sample_element(
     max_syllables: int,
     max_exponent: int,
 ) -> FreeProductElement:
-    """One draw of :func:`element_sampler`."""
+    """One draw of :func:`element_sampler`.
+
+    The sampler compiled for the last one-shot draw is kept until a draw on
+    another parent, generator or shape replaces it, so that parent and
+    generator stay alive until then.  A loop of draws should build its own
+    sampler with :func:`element_sampler`.
+    """
     return _draw_once(element_sampler, parent, rng, max_syllables, max_exponent)
 
 

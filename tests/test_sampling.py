@@ -187,19 +187,37 @@ def test_three_factor_words_replay_randint_and_choice(name, avoid):
             assert built.getstate() == once.getstate() == ref.getstate()
 
 
-def test_one_shot_draws_follow_their_generator_and_shape():
-    # a one-shot draw reuses the sampler compiled last on the parent, so
-    # switching generator, shape or avoided factor must compile anew
-    parent = PARENTS["T2*T3"]
+def test_one_shot_draws_follow_their_parent_generator_and_shape():
+    # a one-shot draw reuses the sampler it compiled last, so switching
+    # parent, generator, shape or avoided factor must compile anew
+    parents = [PARENTS["T2*T3"], THREE_FACTORS["FR3"]]
     mine, ref = [random.Random(1), random.Random(2)], [random.Random(1), random.Random(2)]
+    # (parent, generator) indices: each step changes one of the two, and the
+    # shape changes alone between the last step and the first
+    steps = [(1, 0), (1, 1), (0, 1), (0, 0), (1, 0)]
     for i in range(40):
         shape, avoid = SHAPES[i % len(SHAPES)], (None, "a", "b")[i % 3]
-        for rng, twin in zip(mine, ref):
+        for p, g in steps:
+            parent, rng, twin = parents[p], mine[g], ref[g]
             assert sample_element(parent, rng, *shape) == element_sampler(parent, twin, *shape)()
             assert sample_syllable_word(parent, rng, *shape, avoid) == word_sampler(
                 parent, twin, *shape, avoid
             )()
         assert [r.getstate() for r in mine] == [r.getstate() for r in ref]
+
+
+def test_one_shot_draws_compile_anew_for_a_shape_of_other_types():
+    # (4.0, 2.0) equals (4, 2) but cannot be built, so it must not reuse it
+    parent = PARENTS["FR"]
+    with pytest.raises(Exception) as built:
+        element_sampler(parent, random.Random(0), 4.0, 2.0)
+    rng = random.Random(0)
+    sample_element(parent, rng, 4, 2)
+    with pytest.raises(built.type):
+        sample_element(parent, rng, 4.0, 2.0)
+    sample_syllable_word(parent, rng, 4, 2)
+    with pytest.raises(built.type):
+        sample_syllable_word(parent, rng, 4.0, 2.0)
 
 
 BAD_ARGUMENTS = [  # (the argument the error must name, a call on a generator)
