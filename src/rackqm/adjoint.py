@@ -133,6 +133,14 @@ class TrivialRackModel:
         k = width.bit_length()
         entries = range(self.rank)
 
+        def draw_one() -> Value:  # the same draws as draw at rank 1, without the list
+            while True:
+                r = getrandbits(k)
+                while r >= width:
+                    r = getrandbits(k)
+                if r != max_exponent:
+                    return (r - max_exponent,)
+
         def draw() -> Value:
             while True:
                 value = []
@@ -144,7 +152,8 @@ class TrivialRackModel:
                 if any(value):
                     return tuple(value)
 
-        return draw
+        # the free quandle's factors are all of rank 1
+        return draw_one if self.rank == 1 else draw
 
     def sample_key(self, rng: random.Random, bound: int) -> int:
         return self.key_sampler(rng.getrandbits, bound)()
