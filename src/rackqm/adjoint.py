@@ -155,9 +155,7 @@ class TrivialRackModel:
         # the free quandle's factors are all of rank 1
         return draw_one if self.rank == 1 else draw
 
-    def sample_key(self, rng: random.Random, bound: int) -> int:
-        return self.key_sampler(rng.getrandbits, bound)()
-
+    # not called in the library; the benchmark's tracer patches it on this class
     def sample_value(self, rng: random.Random, max_exponent: int) -> Value:
         return self.value_sampler(rng.getrandbits, max_exponent)()
 
@@ -232,9 +230,7 @@ class FreeRackFactorModel:
 
         return draw
 
-    def sample_key(self, rng: random.Random, bound: int) -> int:
-        return self.key_sampler(rng.getrandbits, bound)()
-
+    # not called in the library; the benchmark's tracer patches it on this class
     def sample_value(self, rng: random.Random, max_exponent: int) -> Value:
         return self.value_sampler(rng.getrandbits, max_exponent)()
 

@@ -28,6 +28,7 @@ EXHAUSTIVE_WORDS = 10**6  # budget of factor values plus words qm defect --exhau
 CERTIFICATE_ENTRIES = 10**6  # budget of rank^2 matrix entries certify independence evaluates
 FACTOR_RANKS = 10**5  # budget of the summed factor ranks that --sizes asks for
 SAMPLED_EXPONENTS = 10**7  # budget of the exponents qm defect's sampled pairs may draw
+HOMOGENIZE_SAMPLES = 10**5  # budget of the pairs qm homogenize samples to check its bound
 
 
 class CliInputError(Exception):
@@ -315,6 +316,10 @@ def cmd_qm_homogenize(args) -> int:
     ):
         if value < 0:
             raise CliInputError(f"{flag} must be at least 0, got {value}")
+    if args.samples > HOMOGENIZE_SAMPLES:
+        raise CliInputError(
+            f"--samples {args.samples} exceeds the budget of {HOMOGENIZE_SAMPLES} pairs"
+        )
     if pattern.length() > HOMOGENIZE_LETTERS:
         raise CliInputError(
             f"--word of {pattern.length()} letters exceeds the budget of "

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .adjoint import FreeRackFactorModel, TrivialRackModel, Value, scale, trivial_rack_model
@@ -88,18 +87,13 @@ class FreeProductRack:
     """An ordered family of at least two factor models; a free product of
     quandles is a quandle.
 
-    ``factor_names``, the name -> model lookup and ``successors`` are derived
-    from ``factors`` once, and take no part in equality, hashing or repr.
-    ``successors`` is read-only: ``successors[prev]`` lists, in order, the
-    factors a syllable may take after a syllable of factor ``prev`` (after
-    ``None``: every factor).
+    ``factor_names`` and the name -> model lookup are derived from
+    ``factors`` once, and take no part in equality, hashing or repr.  Samplers
+    are built from a parent by :mod:`rackqm.sampling`; the parent keeps none.
     """
 
     factors: tuple[FactorModel, ...]
     factor_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    successors: Mapping[str | None, tuple[str, ...]] = field(
-        init=False, compare=False, repr=False
-    )
     _models: dict[str, FactorModel] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -111,11 +105,7 @@ class FreeProductRack:
         for name in names:
             if not _FACTOR_NAME.match(name):
                 raise ValueError(f"bad factor name {name!r}")
-        successors = MappingProxyType(
-            {prev: tuple(n for n in names if n != prev) for prev in (None, *names)}
-        )
         object.__setattr__(self, "factor_names", names)
-        object.__setattr__(self, "successors", successors)
         object.__setattr__(self, "_models", dict(zip(names, self.factors)))
 
     @property

@@ -5,14 +5,13 @@ Every randomized estimate in the library draws through a
 values already in canonical form (alternating factors, nonzero values),
 which keeps the hot paths allocation-light.
 
-A sampler is compiled once per estimate: :func:`word_sampler` and
+There is one sampling path: build once, then draw.  :func:`word_sampler` and
 :func:`element_sampler` check their arguments, work out every bit length,
-and return a zero-argument closure that only draws.  Each factor model
-compiles its own key and value draws (``key_sampler``/``value_sampler``), so
-each model's draw logic is written in one place.
-:func:`sample_syllable_word` and :func:`sample_element` are one draw of
-those closures; each reuses the closure it compiled last while the parent,
-the generator and the shape stay the same.
+and return a zero-argument closure that only draws; an estimate builds one
+per run.  Each factor model compiles its own key and value draws
+(``key_sampler``/``value_sampler``), so each model's draw logic is written in
+one place.  :func:`sample_syllable_word` and :func:`sample_element` build a
+sampler and draw once from it; they keep nothing.
 
 The stream is part of the contract: samplers take a plain
 :class:`random.Random`, and every integer they draw is exactly the draw that
@@ -21,7 +20,7 @@ generator.  ``adjoint._below`` is the reference draw: a uniform int below n
 is ``getrandbits(n.bit_length())`` repeated until it is below n, as in
 ``Random._randbelow``.  The compiled closures inline that loop with the bit
 length worked out in advance, so seeded witnesses and CLI output do not
-depend on which of the three made a draw.
+depend on whether a draw came from a built sampler or from the reference.
 """
 
 from __future__ import annotations
@@ -83,13 +82,15 @@ def word_sampler(
     """
     if max_syllables < 0:
         raise ValueError(f"max_syllables must be at least 0, got {max_syllables}")
-    if avoid_leading not in parent.successors:  # its keys are None and every factor
+    names = parent.factor_names
+    if avoid_leading is not None and avoid_leading not in names:
         raise ValueError(f"avoid_leading must be None or a factor, got {avoid_leading!r}")
-    # prev -> (count, bit length, options): one seeded draw among the options
-    successors = {
-        prev: (len(options), len(options).bit_length(), options)
-        for prev, options in parent.successors.items()
-    }
+    # prev -> (count, bit length, options): the factors a syllable may take
+    # after one of factor prev (after None: every factor), in order
+    successors = {}
+    for prev in (None, *names):
+        options = tuple(n for n in names if n != prev)
+        successors[prev] = (len(options), len(options).bit_length(), options)
     getrandbits = rng.getrandbits
     values = {f.factor: f.value_sampler(getrandbits, max_exponent) for f in parent.factors}
     k = (max_syllables + 1).bit_length()
@@ -135,27 +136,7 @@ def element_sampler(
     return draw
 
 
-_last = {}  # builder -> (parent, rng, shape, its types, the sampler built)
-
-
-def _draw_once(build, parent: FreeProductRack, rng: random.Random, *shape):
-    # A compiled sampler keeps no state but its generator's, so the one built
-    # last for the same parent, generator and shape draws exactly what a
-    # fresh one would: a loop of one-shot draws compiles once, not once per
-    # draw.  The shape's types take part, so 4.0 fails as it would when built.
-    types = tuple(map(type, shape))
-    last = _last.get(build)
-    if (
-        last is None
-        or last[0] is not parent
-        or last[1] is not rng
-        or last[2] != shape
-        or last[3] != types
-    ):
-        last = _last[build] = (parent, rng, shape, types, build(parent, rng, *shape))
-    return last[4]()
-
-
+# not called in the library; the benchmark's tracer patches it on this module
 def sample_syllable_word(
     parent: FreeProductRack,
     rng: random.Random,
@@ -163,24 +144,22 @@ def sample_syllable_word(
     max_exponent: int,
     avoid_leading: str | None = None,
 ) -> SyllableWord:
-    """One draw of :func:`word_sampler`; see :func:`sample_element`."""
-    return _draw_once(word_sampler, parent, rng, max_syllables, max_exponent, avoid_leading)
+    """One draw of a fresh :func:`word_sampler`; see :func:`sample_element`."""
+    return word_sampler(parent, rng, max_syllables, max_exponent, avoid_leading)()
 
 
+# not called in the library; the benchmark's rack_defect check calls it
 def sample_element(
     parent: FreeProductRack,
     rng: random.Random,
     max_syllables: int,
     max_exponent: int,
 ) -> FreeProductElement:
-    """One draw of :func:`element_sampler`.
-
-    The sampler compiled for the last one-shot draw is kept until a draw on
-    another parent, generator or shape replaces it, so that parent and
-    generator stay alive until then.  A loop of draws should build its own
-    sampler with :func:`element_sampler`.
+    """One draw of a fresh :func:`element_sampler`: a build and one draw, so
+    it draws what a built sampler's next draw would.  A loop of draws should
+    build its sampler once with :func:`element_sampler`.
     """
-    return _draw_once(element_sampler, parent, rng, max_syllables, max_exponent)
+    return element_sampler(parent, rng, max_syllables, max_exponent)()
 
 
 def enumerate_syllable_words(

@@ -92,7 +92,7 @@ def test_model_action_is_a_group_action():
     rng = random.Random(0)
     for model in (trivial_rack_model(3, factor="t"), FreeRackFactorModel("a")):
         for _ in range(200):
-            key = model.sample_key(rng, 4)
+            key = model.key_sampler(rng.getrandbits, 4)()
             g = model.sample_value(rng, 4)
             h = model.sample_value(rng, 4)
             assert model.act(model.act(key, g), h) == model.act(key, model.multiply(g, h))

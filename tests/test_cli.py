@@ -295,6 +295,8 @@ HOMOGENIZE = ("qm", "homogenize", "--word", "a b", "--target", "a b", "--defect-
     [
         (*HOMOGENIZE, "--doublings", "-3"),
         (*HOMOGENIZE, "--samples", "-4"),
+        # sampled pairs over the budget of 10^5
+        (*HOMOGENIZE, "--samples", str(10**30)),
         (*HOMOGENIZE, "--defect-bound", "-1"),
         (*HOMOGENIZE, "--tolerance", "-1"),
         (*HOMOGENIZE, "--tolerance", "x"),

@@ -7,12 +7,14 @@ of sampled elements so that a change of the stream, which would move every
 seeded witness and the golden CLI output, fails here first.
 """
 
+import gc
 import hashlib
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import pytest
 
@@ -97,7 +99,7 @@ def test_empty_ranges_raise_instead_of_hanging():
 
         calls = [
             ("max_syllables", lambda: sample_element(free_rack(["a", "b"]), Random(0), -1, 5)),
-            ("bound", lambda: FreeRackFactorModel("a").sample_key(Random(0), -1)),
+            ("bound", lambda: FreeRackFactorModel("a").key_sampler(Random(0).getrandbits, -1)()),
             ("max_syllables", lambda: sample_syllable_word(
                 trivial_product({"a": 2, "b": 3}), Random(0), -2, 3)),
             ("empty range", lambda: _below(Random(0).getrandbits, 0)),
@@ -188,8 +190,9 @@ def test_three_factor_words_replay_randint_and_choice(name, avoid):
 
 
 def test_one_shot_draws_follow_their_parent_generator_and_shape():
-    # a one-shot draw reuses the sampler it compiled last, so switching
-    # parent, generator, shape or avoided factor must compile anew
+    # a one-shot draw is a fresh build and one draw, so it equals a fresh
+    # build's draw on the same generator whatever parent, generator, shape or
+    # avoided factor the draw before it used
     parents = [PARENTS["T2*T3"], THREE_FACTORS["FR3"]]
     mine, ref = [random.Random(1), random.Random(2)], [random.Random(1), random.Random(2)]
     # (parent, generator) indices: each step changes one of the two, and the
@@ -207,7 +210,8 @@ def test_one_shot_draws_follow_their_parent_generator_and_shape():
 
 
 def test_one_shot_draws_compile_anew_for_a_shape_of_other_types():
-    # (4.0, 2.0) equals (4, 2) but cannot be built, so it must not reuse it
+    # a one-shot draw builds its sampler, so a float shape fails as a build
+    # does, even right after a draw of the equal shape (4, 2)
     parent = PARENTS["FR"]
     with pytest.raises(Exception) as built:
         element_sampler(parent, random.Random(0), 4.0, 2.0)
@@ -218,6 +222,18 @@ def test_one_shot_draws_compile_anew_for_a_shape_of_other_types():
     sample_syllable_word(parent, rng, 4, 2)
     with pytest.raises(built.type):
         sample_syllable_word(parent, rng, 4.0, 2.0)
+
+
+def test_one_shot_draws_keep_nothing_alive():
+    # a one-shot draw drops the sampler it built, so once the caller drops
+    # the generator and the parent, nothing holds them
+    rng, parent = random.Random(0), free_rack(["a", "b"])
+    sample_element(parent, rng, 4, 2)
+    sample_syllable_word(parent, rng, 4, 2)
+    refs = [weakref.ref(rng), weakref.ref(parent)]
+    del rng, parent
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 BAD_ARGUMENTS = [  # (the argument the error must name, a call on a generator)
