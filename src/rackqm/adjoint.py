@@ -35,7 +35,6 @@ __all__ = [
     "TrivialRackModel",
     "FreeRackFactorModel",
     "presentation",
-    "trivial_rack_model",
     "express_generator",
     "verify_expression",
     "scale",
@@ -86,6 +85,10 @@ class TrivialRackModel:
     rank: int
 
     is_quandle = True  # trivial racks satisfy x <| x = x
+
+    def __post_init__(self) -> None:
+        if self.rank < 1:
+            raise ValueError("rank must be at least 1")
 
     def identity(self) -> Value:
         return (0,) * self.rank
@@ -272,13 +275,6 @@ def _check_max_exponent(max_exponent: int) -> None:
     # every nonzero value needs an exponent of size at least 1
     if max_exponent < 1:
         raise ValueError(f"max_exponent must be at least 1, got {max_exponent}")
-
-
-def trivial_rack_model(n: int, factor: str = "t") -> TrivialRackModel:
-    """The free abelian model of rank n; rank 1 is the infinite cyclic group."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    return TrivialRackModel(factor, n)
 
 
 def express_generator(

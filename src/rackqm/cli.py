@@ -29,10 +29,8 @@ CERTIFICATE_ENTRIES = 10**6  # budget of rank^2 matrix entries certify independe
 FACTOR_RANKS = 10**5  # budget of the summed factor ranks that --sizes asks for
 SAMPLED_EXPONENTS = 10**7  # budget of the exponents qm defect's sampled pairs may draw
 HOMOGENIZE_SAMPLES = 10**5  # budget of the pairs qm homogenize samples to check its bound
-
-
-class CliInputError(Exception):
-    pass
+RANK_ROWS = 2 * 10**4  # budget of the rows of the largest coboundary rack cohomology ranks
+DUMP_ENTRIES = 5 * 10**7  # budget of the rows times columns rack cohomology --dump-matrix prints
 
 
 def _parse_sizes(text: str) -> dict[str, int]:
@@ -40,7 +38,7 @@ def _parse_sizes(text: str) -> dict[str, int]:
     for part in text.split(","):
         name, _, value = part.partition("=")
         if name.strip() in sizes or not value.strip().removeprefix("-").isdecimal():
-            raise CliInputError(f"bad --sizes entry {part!r}; expected name=count, each name once")
+            raise ValueError(f"bad --sizes entry {part!r}; expected name=count, each name once")
         sizes[name.strip()] = int(value)
     return sizes
 
@@ -48,15 +46,15 @@ def _parse_sizes(text: str) -> dict[str, int]:
 def build_parent(args, names: Iterable[str]) -> fp.FreeProductRack:
     """Parent from flags, falling back to the given factor names, sorted."""
     if args.factors and args.sizes:
-        raise CliInputError("--factors and --sizes both name the factors; pass one")
+        raise ValueError("--factors and --sizes both name the factors; pass one")
     if args.sizes:
         sizes = _parse_sizes(args.sizes)
         if (total := sum(sizes.values())) > FACTOR_RANKS:
-            raise CliInputError(f"--sizes ranks sum to {total}, over the budget of {FACTOR_RANKS}")
+            raise ValueError(f"--sizes ranks sum to {total}, over the budget of {FACTOR_RANKS}")
         return fp.trivial_product(sizes)
     names = [n.strip() for n in args.factors.split(",")] if args.factors else sorted(set(names))
     if len(names) < 2:
-        raise CliInputError(
+        raise ValueError(
             "need at least two factors; pass --factors or mention them in the input"
         )
     return fp.free_quandle(names) if args.quandle else fp.free_rack(names)
@@ -124,18 +122,42 @@ def cmd_rack_components(args) -> int:
     return OK
 
 
+def _coboundary_rows(n: int, degree: int, quandle: bool) -> int:
+    """Rows of d^degree on n elements: the n^(degree+1) tuples, or in quandle
+    mode the n(n-1)^degree nondegenerate ones.  The columns of d^degree are
+    the rows of d^(degree-1), and d^0 has one column."""
+    return n * (n - 1 if quandle else n) ** degree
+
+
 def cmd_rack_cohomology(args) -> int:
-    if args.degree < 0:
-        raise CliInputError(f"--degree must be at least 0, got {args.degree}")
+    degree = args.degree
+    if degree < 0:
+        raise ValueError(f"--degree must be at least 0, got {degree}")
     rack = load_rack(args.file)
     if args.quandle and not rack.quandle:
-        raise CliInputError("--quandle requested but the input is not a quandle")
-    dims = cochain_mod.cohomology_dims(rack, args.degree, quandle_mode=args.quandle)
+        raise ValueError("--quandle requested but the input is not a quandle")
+    rows = _coboundary_rows(rack.size, degree, args.quandle)
+    # d^k needs a rank only where dim C^k exceeds the orbit lemma's m_k; for
+    # k >= 1 that holds at every k if the rack has more elements than orbits
+    # and at none if not, so the largest one ranked is d^degree
+    if degree and components(rack).count < rack.size and rows > RANK_ROWS:
+        raise ValueError(
+            f"--degree {degree} ranks d^{degree} of {rows} rows, more than the budget of "
+            f"{RANK_ROWS}"
+        )
+    if args.dump_matrix:
+        cols = _coboundary_rows(rack.size, degree - 1, args.quandle) if degree else 1
+        if rows * cols > DUMP_ENTRIES:
+            raise ValueError(
+                f"--dump-matrix prints d^{degree} as {rows} x {cols} entries, more than "
+                f"the budget of {DUMP_ENTRIES}"
+            )
+    dims = cochain_mod.cohomology_dims(rack, degree, quandle_mode=args.quandle)
     if args.dump_matrix:
         build = cochain_mod.quandle_coboundary if args.quandle else cochain_mod.coboundary
-        d = build(rack, args.degree)
+        d = build(rack, degree)
         cols = len(d.col_idx)
-        print(f"# delta {args.degree} {len(d.entries)} {cols if d.entries else 0}")
+        print(f"# delta {degree} {len(d.entries)} {cols if d.entries else 0}")
         for row in d.entries:
             print(" ".join(str(row.get(j, 0)) for j in range(cols)))
     if args.json:
@@ -182,7 +204,7 @@ def cmd_fp_equal(args) -> int:
     parent = build_parent(args, fp.mentioned_factors(args.p, args.q))
     p = fp.parse_element(parent, args.p)
     q = fp.parse_element(parent, args.q)
-    same = fp.equal(p, q)
+    same = p == q
     print("true" if same else "false")
     return OK if same else INVARIANT_VIOLATED
 
@@ -230,11 +252,11 @@ def _sampled_exponents(parent: fp.FreeProductRack, config: SamplerConfig) -> int
 
 def cmd_qm_defect(args) -> int:
     if args.exhaustive is not None and not args.group:
-        raise CliInputError("--exhaustive enumerates group pairs; pass --group with it")
+        raise ValueError("--exhaustive enumerates group pairs; pass --group with it")
     parent, family = _load_family(args, args.family)
     config = _sampler(args)
     if (draws := _sampled_exponents(parent, config)) > SAMPLED_EXPONENTS:
-        raise CliInputError(
+        raise ValueError(
             f"--samples {config.samples} with --max-syllables {config.max_syllables} draws up "
             f"to {draws} exponents on these factors, more than the budget of "
             f"{SAMPLED_EXPONENTS}; lower --samples, --max-syllables or the --sizes ranks"
@@ -244,7 +266,7 @@ def cmd_qm_defect(args) -> int:
             args.exhaustive is not None
             and _exhaustive_size(parent, args.exhaustive, args.max_exponent) > EXHAUSTIVE_WORDS
         ):
-            raise CliInputError(
+            raise ValueError(
                 f"--exhaustive {args.exhaustive} at --max-exponent {args.max_exponent} enumerates "
                 f"more than the budget of {EXHAUSTIVE_WORDS} factor values and words"
             )
@@ -303,11 +325,11 @@ def cmd_qm_homogenize(args) -> int:
     try:
         defect_bound = qm.parse_fraction(args.defect_bound)
     except qm.QmError as exc:
-        raise CliInputError(f"--defect-bound: {exc}") from None
+        raise ValueError(f"--defect-bound: {exc}") from None
     try:
         tolerance = qm.parse_fraction(args.tolerance) if args.tolerance else None
     except qm.QmError as exc:
-        raise CliInputError(f"--tolerance: {exc}") from None
+        raise ValueError(f"--tolerance: {exc}") from None
     for flag, value in (
         ("--doublings", args.doublings),
         ("--samples", args.samples),
@@ -315,19 +337,19 @@ def cmd_qm_homogenize(args) -> int:
         ("--tolerance", tolerance or 0),
     ):
         if value < 0:
-            raise CliInputError(f"{flag} must be at least 0, got {value}")
+            raise ValueError(f"{flag} must be at least 0, got {value}")
     if args.samples > HOMOGENIZE_SAMPLES:
-        raise CliInputError(
+        raise ValueError(
             f"--samples {args.samples} exceeds the budget of {HOMOGENIZE_SAMPLES} pairs"
         )
     if pattern.length() > HOMOGENIZE_LETTERS:
-        raise CliInputError(
+        raise ValueError(
             f"--word of {pattern.length()} letters exceeds the budget of "
             f"{HOMOGENIZE_LETTERS} letters"
         )
     # the last power has |target| * 2^doublings letters
     if max(target.length(), 1) > HOMOGENIZE_LETTERS >> args.doublings:
-        raise CliInputError(
+        raise ValueError(
             f"--doublings {args.doublings} on a target of {target.length()} letters "
             f"exceeds the budget of {HOMOGENIZE_LETTERS} letters"
         )
@@ -393,7 +415,7 @@ def cmd_qm_v0dim(args) -> int:
 
 def cmd_certify_independence(args) -> int:
     if args.rank * args.rank > CERTIFICATE_ENTRIES:
-        raise CliInputError(
+        raise ValueError(
             f"--rank {args.rank} evaluates {args.rank * args.rank} matrix entries, more than "
             f"the budget of {CERTIFICATE_ENTRIES}"
         )
@@ -513,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliInputError, OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         if isinstance(exc, RackValidationError):
             print(f"invalid: {exc}", file=sys.stderr)
             return INVARIANT_VIOLATED

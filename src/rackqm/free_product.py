@@ -28,9 +28,12 @@ The rack operation is ``(x, g) <| (y, h) = (x, g h^-1 e_y h)``, with the sign
 of ``e_y`` flipped for the inverse operation.
 
 A syllable value is its factor model's exponent vector; a model carries only
-a factor name and a rank.  This is the only module that spells or reads
-generator text: :func:`generator_name` spells it and :func:`mentioned_factors`
-reads factor names back out of it.
+a factor name and a rank.  :func:`generator_name` is the only place the
+``factor.i`` spelling is written.  It is read back in three places:
+:func:`parse_element` (the base by pattern, the word against the spelled
+names), :func:`mentioned_factors` (factor names) and
+:func:`rackqm.quasimorphism.family_from_dict` (an iota component's
+``generator`` and a table's keys, against the spelled names).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .adjoint import FreeRackFactorModel, TrivialRackModel, Value, scale, trivial_rack_model
+from .adjoint import FreeRackFactorModel, TrivialRackModel, Value, scale
 from .words import AbelianWord, GroupWord, WordParseError, parse_word
 
 __all__ = [
@@ -52,10 +55,8 @@ __all__ = [
     "factorize",
     "reduce_element",
     "rack_op",
-    "equal",
     "conjugate_form",
     "parse_element",
-    "render_element",
     "render_value",
     "generator_name",
     "mentioned_factors",
@@ -128,14 +129,14 @@ def free_rack(names: Sequence[str]) -> FreeProductRack:
 
 def free_quandle(names: Sequence[str]) -> FreeProductRack:
     """The free quandle on the given letters (one-element trivial quandles)."""
-    factors = tuple(trivial_rack_model(1, factor=n) for n in names)
+    factors = tuple(TrivialRackModel(n, 1) for n in names)
     return FreeProductRack(factors)
 
 
 def trivial_product(sizes: Mapping[str, int]) -> FreeProductRack:
     """Free product of trivial racks of the given sizes, e.g. {"a": 2, "b": 3};
     trivial racks are quandles, so the result is a quandle."""
-    factors = tuple(trivial_rack_model(n, factor=name) for name, n in sizes.items())
+    factors = tuple(TrivialRackModel(name, n) for name, n in sizes.items())
     return FreeProductRack(factors)
 
 
@@ -213,7 +214,22 @@ class FreeProductElement:
     tail: SyllableWord
 
     def render(self) -> str:
-        return render_element(self)
+        """Inverse of :func:`parse_element` on reduced forms.
+
+        Free-rack base shifts are re-emitted as the leading tail power, so the
+        printed pair is the plain ``(s, g)`` form with the full group word.
+        """
+        model = self.parent.model(self.base_factor)
+        lead = ""
+        if isinstance(model, FreeRackFactorModel):
+            # the base element and the one generator share the name factor.0
+            base = generator_name(self.base_factor, 0)
+            lead = GroupWord(((base, self.base_key),)).render()
+        else:
+            base = generator_name(self.base_factor, self.base_key)
+        tail = self.tail.render(self.parent)
+        word = " ".join(part for part in (lead, tail) if part)
+        return f"{base} | {word}".rstrip() if word else f"{base} |"
 
     def __str__(self) -> str:
         return self.render()
@@ -259,17 +275,6 @@ def rack_op(
     return reduce_element(parent, p.base_factor, p.base_key, items)
 
 
-def equal(p: FreeProductElement, q: FreeProductElement) -> bool:
-    """Equality of reduced forms (parents must agree)."""
-    if p.parent != q.parent:
-        raise ValueError("elements come from different free products")
-    return (
-        p.base_factor == q.base_factor
-        and p.base_key == q.base_key
-        and p.tail == q.tail
-    )
-
-
 def conjugate_form(p: FreeProductElement) -> GroupWord:
     """For free-quandle elements, the conjugate ``g^-1 s g`` as a reduced word
     over the factor letters; elements are equal iff these words are equal."""
@@ -297,7 +302,7 @@ def parse_element(parent: FreeProductRack, text: str) -> FreeProductElement:
     >>> p = parse_element(T, "b.0 | a.1^2 a.0 b.2^-1")
     >>> p.tail.syllables
     (('a', (1, 2)), ('b', (0, 0, -1)))
-    >>> render_element(p)
+    >>> p.render()
     'b.0 | a.0 a.1^2 b.2^-1'
     """
     head, sep, tail_text = text.partition("|")
@@ -319,22 +324,3 @@ def parse_element(parent: FreeProductRack, text: str) -> FreeProductElement:
         f, i = owner[name]
         items.append((f.factor, scale(f.embed(i), exp)))
     return reduce_element(parent, factor, model.validate_key(key), items)
-
-
-def render_element(p: FreeProductElement) -> str:
-    """Inverse of :func:`parse_element` on reduced forms.
-
-    Free-rack base shifts are re-emitted as the leading tail power, so the
-    printed pair is the plain ``(s, g)`` form with the full group word.
-    """
-    model = p.parent.model(p.base_factor)
-    lead = ""
-    if isinstance(model, FreeRackFactorModel):
-        # the base element and the one generator share the name factor.0
-        base = generator_name(p.base_factor, 0)
-        lead = GroupWord(((base, p.base_key),)).render()
-    else:
-        base = generator_name(p.base_factor, p.base_key)
-    tail = p.tail.render(p.parent)
-    word = " ".join(part for part in (lead, tail) if part)
-    return f"{base} | {word}".rstrip() if word else f"{base} |"

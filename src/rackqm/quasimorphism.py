@@ -52,7 +52,7 @@ from .sampling import (
     sample_syllable_word,
     word_sampler,
 )
-from .words import GroupWord, parse_abelian
+from .words import AbelianWord, GroupWord, parse_word
 
 __all__ = [
     "QmError",
@@ -854,7 +854,7 @@ def family_from_dict(parent: FreeProductRack, data: Mapping) -> LambdaFamily:
             names = [generator_name(factor, i) for i in range(parent.model(factor).rank)]
             entries = []
             for word, v in _object(entry.get("values", {}), "'values'").items():
-                exponents = dict(parse_abelian(word, set(names)).exponents)
+                exponents = dict(AbelianWord(parse_word(word, set(names)).syllables).exponents)
                 vector = tuple(exponents.get(name, 0) for name in names)
                 entries.append((vector, parse_fraction(v)))
             if "bound" not in entry:

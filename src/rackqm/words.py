@@ -24,7 +24,6 @@ __all__ = [
     "AbelianWord",
     "WordParseError",
     "parse_word",
-    "parse_abelian",
 ]
 
 _TOKEN = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_.]*)(?:\^(?P<exp>[+-]?\d+))?\Z")
@@ -162,7 +161,3 @@ def parse_word(text: str, alphabet: set[str] | None = None) -> GroupWord:
         syllables.append((name, exp))
     return GroupWord(tuple(syllables))
 
-
-def parse_abelian(text: str, alphabet: set[str] | None = None) -> AbelianWord:
-    """Parse the same grammar, collecting exponents commutatively."""
-    return AbelianWord(parse_word(text, alphabet).syllables)

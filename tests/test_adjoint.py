@@ -9,7 +9,6 @@ from rackqm.adjoint import (
     express_generator,
     presentation,
     scale,
-    trivial_rack_model,
     verify_expression,
 )
 from rackqm.free_product import trivial_product
@@ -56,13 +55,13 @@ def test_presentation_export_format():
 
 
 def test_trivial_model_rank_one_is_infinite_cyclic():
-    model = trivial_rack_model(1, factor="a")
+    model = TrivialRackModel("a", 1)
     assert model.embed(0) == (1,) and model.identity() == (0,)
     assert model.act(0, scale(model.embed(0), 5)) == 0
 
 
 def test_trivial_model_collection():
-    model = trivial_rack_model(2, factor="t")
+    model = TrivialRackModel("t", 2)
     e0, e1 = model.embed(0), model.embed(1)
     assert (e0, e1) == ((1, 0), (0, 1))
     assert model.multiply(scale(e0, 2), model.multiply(e1, e0)) == (3, 1)
@@ -79,18 +78,24 @@ def test_models_carry_a_factor_and_a_rank_and_no_names():
     # generator names are spelled only by free_product.generator_name
     assert [f.name for f in dataclasses.fields(TrivialRackModel)] == ["factor", "rank"]
     assert [f.name for f in dataclasses.fields(FreeRackFactorModel)] == ["factor"]
-    assert trivial_rack_model(3, factor="t") == TrivialRackModel("t", 3)
     assert FreeRackFactorModel("a").rank == 1
-    for model in (trivial_rack_model(3, factor="t"), FreeRackFactorModel("a")):
+    for model in (TrivialRackModel("t", 3), FreeRackFactorModel("a")):
         assert not hasattr(model, "generator_names")
         assert not hasattr(model, "generator")
     with pytest.raises(ValueError, match="rank must be at least 1"):
-        trivial_rack_model(0)
+        TrivialRackModel("t", 0)
+
+
+@pytest.mark.parametrize("rank", [0, -2])
+def test_trivial_model_rejects_a_rank_below_one(rank):
+    # a rank-0 factor has only the zero value, so a sampler over it looped forever
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        TrivialRackModel("t", rank)
 
 
 def test_model_action_is_a_group_action():
     rng = random.Random(0)
-    for model in (trivial_rack_model(3, factor="t"), FreeRackFactorModel("a")):
+    for model in (TrivialRackModel("t", 3), FreeRackFactorModel("a")):
         for _ in range(200):
             key = model.key_sampler(rng.getrandbits, 4)()
             g = model.sample_value(rng, 4)
@@ -100,7 +105,7 @@ def test_model_action_is_a_group_action():
 
 
 @pytest.mark.parametrize(
-    "model", [trivial_rack_model(2, factor="t"), FreeRackFactorModel("a")]
+    "model", [TrivialRackModel("t", 2), FreeRackFactorModel("a")]
 )
 def test_sample_value_rejects_max_exponent_below_one(model):
     # a nonzero value needs an exponent of size at least 1; the trivial-rack
@@ -119,7 +124,7 @@ def test_sample_element_rejects_max_exponent_zero():
 
 def test_model_embedding_satisfies_adjoint_relation():
     # e(x) e(y) = e(y) e(x <| y); trivial rack means x <| y = x, values commute
-    model = trivial_rack_model(3, factor="t")
+    model = TrivialRackModel("t", 3)
     for x in range(3):
         for y in range(3):
             lhs = model.multiply(model.embed(x), model.embed(y))

@@ -11,7 +11,6 @@ from rackqm.free_product import (
     generator_name,
     parse_element,
     reduce_element,
-    render_element,
     trivial_product,
 )
 from rackqm.quasimorphism import (
@@ -129,7 +128,7 @@ def test_generator_text_is_spelled_by_generator_name(parent, tail, expected, mon
     for spell in (generator_name, lambda factor, i: f"{factor}:{i}"):
         monkeypatch.setattr(free_product, "generator_name", spell)
         monkeypatch.setattr(certify, "generator_name", spell)
-        assert render_element(element) == expected(spell)
+        assert element.render() == expected(spell)
         witnesses = independence_certificate(parent, 2, 3).to_dict()["witnesses"]
         assert [w["base"] for w in witnesses] == [spell("b", 0)] * 2
 

@@ -110,6 +110,29 @@ def test_rack_cohomology_dump_matrix(rack_file, capsys):
     assert out.startswith("# delta 1 9 3")
 
 
+def test_rack_cohomology_refuses_a_dump_over_its_budget(tmp_path):
+    # d^13 of T2 has 2^14 x 2^13 entries, over cli.DUMP_ENTRIES; the dump
+    # was still printing after 20 s before the budget
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps(rack_to_dict(trivial_rack(2))))
+    args = ("rack", "cohomology", str(path), "--degree", "13", "--dump-matrix")
+    result = run_cli(*args, timeout=10)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: --dump-matrix"), result.stderr
+    # without the dump a trivial rack ranks nothing, so degree 20 still answers
+    result = run_cli("rack", "cohomology", str(path), "--degree", "20", "--json", timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["dims"] == [2**k for k in range(21)]
+
+
+def test_rack_cohomology_refuses_rank_work_over_its_budget(rack_file):
+    # d^9 of R3 has 3^10 = 59049 rows, over cli.RANK_ROWS; ranking it was
+    # still running after 20 s before the budget
+    result = run_cli("rack", "cohomology", rack_file, "--degree", "9", timeout=10)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: --degree 9"), result.stderr
+
+
 def test_rack_presentation(rack_file, capsys):
     assert main(["rack", "presentation", rack_file]) == 0
     out = capsys.readouterr().out

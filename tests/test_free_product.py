@@ -9,7 +9,6 @@ from rackqm.free_product import (
     FreeProductElement,
     FreeProductRack,
     conjugate_form,
-    equal,
     factorize,
     free_quandle,
     free_rack,
@@ -131,12 +130,12 @@ def test_reduce_invariant_under_defining_rewrites():
                 expected_key = model_a.act(y, prefix)
                 assert rewritten.base_key == expected_key
                 if expected_key == p.base_key:
-                    assert equal(rewritten, p)
+                    assert rewritten == p
             else:
                 rewritten = reduce_element(
                     parent, p.base_factor, p.base_key, p.tail.syllables
                 )
-                assert equal(rewritten, p)
+                assert rewritten == p
 
 
 # -- rack_op ---------------------------------------------------------------------
@@ -153,7 +152,7 @@ def test_rack_op_substitution_example():
     q = parse_element(FR, "b.0 | a.0")
     result = rack_op(p, q)
     expected = parse_element(FR, "a.0 | b.0 a.0^-1 b.0 a.0")
-    assert equal(result, expected)
+    assert result == expected
 
 
 def test_rack_op_inverse_cancels():
@@ -162,8 +161,8 @@ def test_rack_op_inverse_cancels():
         for _ in range(300):
             p = sample_element(parent, rng, 8, 4)
             q = sample_element(parent, rng, 8, 4)
-            assert equal(rack_op(rack_op(p, q), q, sign=-1), p)
-            assert equal(rack_op(rack_op(p, q, sign=-1), q), p)
+            assert rack_op(rack_op(p, q), q, sign=-1) == p
+            assert rack_op(rack_op(p, q, sign=-1), q) == p
 
 
 def test_rack_op_mixed_parents_rejected():
@@ -180,7 +179,7 @@ def test_rack_identity_seeded():
             r = sample_element(parent, rng, 6, 3)
             lhs = rack_op(rack_op(p, q), r)
             rhs = rack_op(rack_op(p, r), rack_op(q, r))
-            assert equal(lhs, rhs)
+            assert lhs == rhs
 
 
 def test_quandle_idempotence():
@@ -188,35 +187,31 @@ def test_quandle_idempotence():
     for parent in (FQ, T23):
         for _ in range(300):
             p = sample_element(parent, rng, 8, 4)
-            assert equal(rack_op(p, p), p)
+            assert rack_op(p, p) == p
 
 
 def test_free_rack_diagonal_shifts():
     p = parse_element(FR, "a.0 |")
     pp = rack_op(p, p)
     assert pp.render() == "a.0 | a.0"
-    assert not equal(pp, p)
+    assert pp != p
 
 
 # -- equality and canonical forms ------------------------------------------------
 
 
 def test_equal_distinguishes_tails():
-    assert not equal(parse_element(FR, "a.0 | b.0"), parse_element(FR, "a.0 | b.0^2"))
+    assert parse_element(FR, "a.0 | b.0") != parse_element(FR, "a.0 | b.0^2")
 
 
 def test_free_quandle_strips_leading_base_powers():
-    assert equal(
-        parse_element(FQ, "a.0 | a.0^3 b.0"), parse_element(FQ, "a.0 | b.0")
-    )
-    assert not equal(
-        parse_element(FR, "a.0 | a.0^3 b.0"), parse_element(FR, "a.0 | b.0")
-    )
+    assert parse_element(FQ, "a.0 | a.0^3 b.0") == parse_element(FQ, "a.0 | b.0")
+    assert parse_element(FR, "a.0 | a.0^3 b.0") != parse_element(FR, "a.0 | b.0")
 
 
 def test_quandle_axiom_on_generators():
     p = parse_element(FQ, "a.0 |")
-    assert equal(rack_op(p, p), p)
+    assert rack_op(p, p) == p
 
 
 # -- free rack vs the closed pair formula ----------------------------------------
@@ -251,7 +246,7 @@ def test_as_pair_is_injective_on_samples():
         p = sample_element(FR, rng, 5, 3)
         key = as_pair(p)
         if key in seen:
-            assert equal(seen[key], p)
+            assert seen[key] == p
         seen[key] = p
 
 
@@ -278,7 +273,7 @@ def test_conjugate_form_separates_equality():
     for _ in range(300):
         p = sample_element(FQ, rng, 6, 3)
         q = sample_element(FQ, rng, 6, 3)
-        assert equal(p, q) == (conjugate_form(p) == conjugate_form(q))
+        assert (p == q) == (conjugate_form(p) == conjugate_form(q))
     # conjugation-invariance sanity: p <| q is conjugation in the free group
     for _ in range(100):
         p = sample_element(FQ, rng, 5, 3)
@@ -349,6 +344,4 @@ def test_hypothesis_rack_identity_free_quandle(n1, n2, rnd):
     p = sample_element(FQ, rnd, n1, 3)
     q = sample_element(FQ, rnd, n2, 3)
     r = sample_element(FQ, rnd, 3, 3)
-    assert equal(
-        rack_op(rack_op(p, q), r), rack_op(rack_op(p, r), rack_op(q, r))
-    )
+    assert rack_op(rack_op(p, q), r) == rack_op(rack_op(p, r), rack_op(q, r))
