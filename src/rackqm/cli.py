@@ -136,6 +136,7 @@ def cmd_rack_cohomology(args) -> int:
     rack = load_rack(args.file)
     if args.quandle and not rack.quandle:
         raise ValueError("--quandle requested but the input is not a quandle")
+    cochain_mod._check_degree(rack.size, degree)
     rows = _coboundary_rows(rack.size, degree, args.quandle)
     # d^k needs a rank only where dim C^k exceeds the orbit lemma's m_k; for
     # k >= 1 that holds at every k if the rack has more elements than orbits

@@ -83,7 +83,16 @@ class Coboundary(NamedTuple):
     entries: list[dict[int, int]]
 
 
+def _check_degree(size: int, degree: int) -> None:
+    """Refuse, before any power is computed, a degree that puts
+    size^(degree+1) over the cap by its bit count alone: for size >= 2 it is
+    at least 2^(degree+1) > CAP once degree + 1 >= CAP.bit_length()."""
+    if size >= 2 and degree + 1 >= CAP.bit_length():
+        raise CochainCapError(f"|X|^{degree + 1} with |X| = {size} exceeds the cap {CAP}")
+
+
 def _check_cap(rack: FiniteRack, degree: int) -> None:
+    _check_degree(rack.size, degree)
     if rack.size ** (degree + 1) > CAP:
         raise CochainCapError(
             f"|X|^{degree + 1} = {rack.size ** (degree + 1)} exceeds the cap {CAP}"
@@ -197,7 +206,10 @@ def cohomology_dims(rack: FiniteRack, max_degree: int, quandle_mode: bool = Fals
     mode, for ``n = |X|``.  d^0 is zero on the one-point C^0, so H^0 is 1.
     Each rank stops at the bound ``dim C^k - rank(d^(k-1)) - m_k`` of the
     orbit lemma (module docstring), which it never exceeds, so the dims are
-    exact; a bound of 0 (trivial racks, Conj(Z4)) skips building d^k.
+    exact; a bound of 0 (trivial racks, Conj(Z4)) skips building d^k.  The
+    bound is also what lets a rank be settled mod 2 (see ``linalg``): rows
+    with that many pivots mod 2 have at least that rank, so only racks whose
+    coboundaries have 2-torsion (R4) need the integer elimination.
     """
     if max_degree < 0:
         return []

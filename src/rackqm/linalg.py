@@ -6,6 +6,13 @@ anywhere; entries are Python ints.  Ranks are over the rationals and come
 from fraction-free elimination that keeps every pivot primitive (coprime
 entries).  A caller with rational rows scales each row to an integer row
 first, which leaves its span over the rationals unchanged.
+
+A rank mod 2 never exceeds the rank over the rationals: r integer rows that
+are independent mod 2 have an r x r minor that is odd, hence a nonzero
+integer.  So ``exact_rank(rows, limit)`` first eliminates mod 2 on bitmasks
+and returns ``limit`` when that pass holds ``limit`` pivots; only when it
+falls short (2-torsion, as in R4's coboundaries) does the integer
+elimination run.  A rank with no ``limit`` is always the integer one.
 """
 
 from __future__ import annotations
@@ -33,15 +40,21 @@ def exact_rank(rows: Sequence[Mapping[int, int]], limit: int | None = None) -> i
     are skipped, zero entries in the input are ignored and the input rows
     are not modified.
 
-    The elimination returns as soon as it holds ``limit`` pivots, leaving the
-    remaining rows unread, and ``limit == 0`` returns 0 without reading any
-    row.  A caller that has proved ``rank <= limit`` thus gets the exact rank
-    without reducing the rows after the last pivot to zero.
+    With a ``limit``, a mod-2 pass (module docstring) runs first and returns
+    ``limit`` as soon as the rows read so far have ``limit`` pivots mod 2,
+    which proves ``rank >= limit``.  Only when it falls short does the
+    elimination above run, and it too returns as soon as it holds ``limit``
+    pivots; ``limit == 0`` returns 0 without reading any row.  A caller that
+    has proved ``rank <= limit`` thus gets the exact rank without reducing
+    the rows after the last pivot to zero, and leaves the rows after it
+    unread whenever the mod-2 pass reaches ``limit``.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
     if limit == 0:
         return 0
+    if limit is not None and _rank_mod_2_reaches(rows, limit):
+        return limit
     pivots: dict[int, dict[int, int]] = {}
     for given in rows:
         if not given:
@@ -75,6 +88,28 @@ def exact_rank(rows: Sequence[Mapping[int, int]], limit: int | None = None) -> i
                 if c != 1:
                     row = {j: v // c for j, v in row.items()}
     return len(pivots)
+
+
+def _rank_mod_2_reaches(rows: Sequence[Mapping[int, int]], limit: int) -> bool:
+    """Whether the rows hold ``limit`` rows independent mod 2.  Each row is
+    the int bitmask of its odd entries, reduced by xor against the pivots
+    met so far, keyed like the integer pivots by their last column."""
+    pivots: dict[int, int] = {}
+    for given in rows:
+        mask = 0
+        for j, v in given.items():
+            if v & 1:
+                mask |= 1 << j
+        while mask:
+            lead = mask.bit_length() - 1
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = mask
+                if len(pivots) == limit:
+                    return True
+                break
+            mask ^= pivot
+    return False
 
 
 def sparse_matmul(

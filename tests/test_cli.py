@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import rackqm
-from rackqm import cli
+from rackqm import cli, cochain
 from rackqm.cli import main
 from rackqm.free_product import free_quandle, free_rack, trivial_product
 from rackqm.racks import dihedral_quandle, rack_to_dict, trivial_rack
@@ -131,6 +131,20 @@ def test_rack_cohomology_refuses_rank_work_over_its_budget(rack_file):
     result = run_cli("rack", "cohomology", rack_file, "--degree", "9", timeout=10)
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: --degree 9"), result.stderr
+
+
+def test_rack_cohomology_refuses_a_huge_degree_before_any_power(rack_file, tmp_path):
+    # 3^20001 and 2^20001 have over 4300 digits: formatting either count
+    # leaked Python's own "Exceeds the limit" error before the degree check
+    t2 = tmp_path / "t2.json"
+    t2.write_text(json.dumps(rack_to_dict(trivial_rack(2))))
+    for path, size in ((rack_file, 3), (str(t2), 2)):
+        for extra in ((), ("--quandle",), ("--dump-matrix",)):
+            result = run_cli("rack", "cohomology", path, "--degree", "20000", *extra, timeout=10)
+            assert result.returncode == 2, result.stderr
+            assert result.stderr == (
+                f"error: |X|^20001 with |X| = {size} exceeds the cap {cochain.CAP}\n"
+            ), result.stderr
 
 
 def test_rack_presentation(rack_file, capsys):

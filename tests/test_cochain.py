@@ -19,7 +19,7 @@ from rackqm.cochain import (
     quandle_coboundary,
 )
 from rackqm.free_product import free_quandle, free_rack, trivial_product
-from rackqm.linalg import exact_rank, sparse_matmul
+from rackqm.linalg import _rank_mod_2_reaches, exact_rank, sparse_matmul
 from rackqm.quasimorphism import (
     Sigma,
     bounded_2cocycle_check,
@@ -290,6 +290,16 @@ def test_cap_guard(monkeypatch):
         coboundary(dihedral_quandle(5), 2)
 
 
+def test_cap_refuses_a_huge_degree_without_formatting_the_power():
+    # 3^20001 has over 4300 digits, past what str() of an int formats
+    for build in (coboundary, quandle_coboundary):
+        with pytest.raises(CochainCapError, match="cap"):
+            build(dihedral_quandle(3), 20000)
+    with pytest.raises(CochainCapError, match="cap"):
+        cohomology_dims(trivial_rack(2), 20000)
+    assert cohomology_dims(trivial_rack(1), 20000) == [1] * 20001  # |X| = 1 is never capped
+
+
 def test_cohomology_cap_counts_the_largest_matrix_built(monkeypatch):
     # d^3 on a 2-element rack has 2^4 = 16 rows, the most any step builds
     monkeypatch.setattr(cochain, "CAP", 16)
@@ -450,6 +460,46 @@ def test_exact_rank_stops_reading_rows_at_the_limit():
         exact_rank(poisoned, limit=3)
     with pytest.raises(ValueError, match="limit"):
         exact_rank([{0: 1}], limit=-1)
+
+
+def test_mod_2_pass_gives_the_plain_rank_capped_at_the_limit():
+    # sparse integer rows with entries in -4..4, even ones included, so some
+    # matrices have a lower rank mod 2 and take the integer fallback
+    rng = random.Random(24)
+    reached = fell_short = 0
+    for i in range(200):
+        rows_count, cols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [
+            {j: v for j in range(cols) if (v := rng.randint(-4, 4)) and rng.random() < 0.5}
+            for _ in range(rows_count)
+        ]
+        before = repr(rows)
+        rank = exact_rank(rows)
+        for limit in range(1, rank + 2):
+            assert exact_rank(rows, limit=limit) == min(rank, limit), (i, rows, limit)
+            if limit <= rank:
+                if _rank_mod_2_reaches(rows, limit):
+                    reached += 1
+                else:
+                    fell_short += 1
+        assert repr(rows) == before, i  # input left as it was
+    assert reached and fell_short  # both paths ran
+
+
+def test_mod_2_pass_falls_back_on_two_torsion():
+    assert not _rank_mod_2_reaches([{0: 2}], 1)
+    assert exact_rank([{0: 2}], limit=1) == 1
+    # R4's d^2 and d^3 have 2-torsion: mod 2 their ranks are 8 and 40 (rack
+    # mode) and 6 and 22 (quandle mode), under the limits cohomology_dims
+    # passes, which the rational ranks reach
+    rack = dihedral_quandle(4)
+    for build, limits in ((coboundary, {2: 10, 3: 46}), (quandle_coboundary, {2: 8, 3: 26})):
+        for k, limit in limits.items():
+            rows = build(rack, k).entries
+            before = repr(rows)
+            assert not _rank_mod_2_reaches(rows, limit), (build.__name__, k)
+            assert exact_rank(rows, limit=limit) == exact_rank(rows) == limit, (build.__name__, k)
+            assert repr(rows) == before
 
 
 def full_elimination_dims(rack, max_degree, quandle_mode):
@@ -614,6 +664,17 @@ def test_quandle_mode_dims_at_degree_five():
     for rack in racks:
         expected = QUANDLE_DIMS_TO_4[rack.name] + [QUANDLE_DIM_5[rack.name]]
         assert cohomology_dims(rack, 5, quandle_mode=True) == expected, rack.name
+
+
+def test_degree_five_at_sizes_five_and_six_matches_the_orbit_lemma():
+    # dim H^k is c^k in rack mode and c(c-1)^(k-1) in quandle mode (k >= 1)
+    # for c orbits: the orbit lemma's lower bound, reached with equality
+    for rack in (dihedral_quandle(5), conjugation_rack(symmetric_group(3))):
+        c = components(rack).count
+        assert cohomology_dims(rack, 5) == [c**k for k in range(6)], rack.name
+        assert cohomology_dims(rack, 5, quandle_mode=True) == [1] + [
+            c * (c - 1) ** (k - 1) for k in range(1, 6)
+        ], rack.name
 
 
 def test_trivial_rack_dimensions():
