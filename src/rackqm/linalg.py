@@ -46,8 +46,8 @@ def exact_rank(rows: Sequence[Mapping[int, int]], limit: int | None = None) -> i
     elimination above run, and it too returns as soon as it holds ``limit``
     pivots; ``limit == 0`` returns 0 without reading any row.  A caller that
     has proved ``rank <= limit`` thus gets the exact rank without reducing
-    the rows after the last pivot to zero, and leaves the rows after it
-    unread whenever the mod-2 pass reaches ``limit``.
+    the rows after the last pivot to zero, and when the mod-2 pass reaches
+    ``limit`` the rows after its last pivot are left unread.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
