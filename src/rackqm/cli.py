@@ -137,6 +137,12 @@ def cmd_rack_cohomology(args) -> int:
     if args.quandle and not rack.quandle:
         raise ValueError("--quandle requested but the input is not a quandle")
     cochain_mod._check_degree(rack.size, degree)
+    if degree + 1 >= cochain_mod.CAP.bit_length():  # |X| = 1, whose powers never grow
+        raise ValueError(
+            f"--degree {degree} prints {degree + 1} dims; a degree d with d + 1 >= "
+            f"{cochain_mod.CAP.bit_length()} (the bit length of the cap {cochain_mod.CAP}) "
+            "is refused on every rack"
+        )
     rows = _coboundary_rows(rack.size, degree, args.quandle)
     # d^k needs a rank only where dim C^k exceeds the orbit lemma's m_k; for
     # k >= 1 that holds at every k if the rack has more elements than orbits

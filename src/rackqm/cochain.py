@@ -15,7 +15,7 @@ rows.  The rows are built by arithmetic on tuple indices, never on tuples:
 dropping x_i leaves head index h and tail index t of a row index
 ``(h*|X| + x_i) * |X|^(n+1-i) + t``, the dropped term is at
 ``h*|X|^(n+1-i) + t``, and acting on the head by x_i is one lookup in a table
-of head indices built once per call (see ``_delta_rows``).  For quandles
+of head indices built once per call (see ``_faces``).  For quandles
 the quandle complex is computed on the coordinates indexed by nondegenerate
 tuples (no adjacent repeats), i.e. the subcomplex of cochains vanishing on
 degenerate tuples; degrees <= 1 have no degeneracy constraint.
@@ -46,13 +46,20 @@ So dim H^k >= m_k, and from ``dim H^k = dim C^k - rank d^k - rank d^(k-1)``,
 ``rank d^k <= dim C^k - rank d^(k-1) - m_k``.  These are the counts of
 Etingof-Grana, *On rack cohomology* (JPAA 177, 2003) and Litherland-Nelson
 (JPAA 178, 2003); only the lower bound is used, and it is proved above.
+
+**Screens mod p.**  For any prime p, r rows independent mod p have an r x r
+minor that is nonzero mod p, hence a nonzero integer, so a bounded rank is
+settled once a screen mod p holds that many pivots.  ``cohomology_dims``
+streams rows in the order 2, 3, integers: odd-entry bitmasks straight from
+the index arithmetic; dict rows for mod 3 only where mod 2 falls short
+(2-torsion, as in R4); d^k whole for ``exact_rank`` only where both do.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .linalg import exact_rank, sparse_matmul
+from .linalg import _rank_mod_2_reaches, _rank_mod_3_reaches, exact_rank, sparse_matmul
 from .racks import FiniteRack, components
 
 __all__ = [
@@ -99,30 +106,31 @@ def _check_cap(rack: FiniteRack, degree: int) -> None:
         )
 
 
-def _delta_rows(rack: FiniteRack, degree: int, quandle: bool) -> Coboundary:
-    """d^degree, by index arithmetic on tuples; no rows or columns below
-    degree 0, and a matrix over the cap raises :class:`CochainCapError`.
+def _faces(rack: FiniteRack, degree: int, quandle: bool):
+    """The set-up d^degree's rows are built from: ``(row_idx, col_idx, col,
+    faces, last)``.  No rows or columns below degree 0, and a matrix over
+    the cap raises :class:`CochainCapError`.
 
     Rows and columns are all tuples in rack mode and the nondegenerate ones
     in quandle mode, where a term at a degenerate column tuple is dropped;
     d^0 has no degenerate tuple on either side, so both modes build the same
-    matrix there.  Row r is the
-    (degree+1)-tuple of index r.  For the face dropping x_(i+1) write
-    ``r = (h*n + y) * T + t`` with ``T = n^(degree-i)``: head index h (the
-    first i entries), acting element y and tail index t.  The dropped term
-    sits at column ``h*T + t`` and the acted term at ``act_i[h*n + y]*T + t``,
-    where ``act_i[h*n + y]`` is the index of the head acted on by y; the
-    tables grow by ``act_i[h*n + y] = act_(i-1)[(h // n)*n + y]*n +
-    table[h % n][y]``, and the last face (T = 1) computes its acted head from
-    ``act_(degree-1)`` instead of storing a table n^(degree+1) long.  A face
-    whose acted head equals its head cancels and is skipped; the face
-    dropping x_1 has an empty head and always does.  Column keys come from
-    the one list ``col`` (tuple index -> column position, -1 if not a
-    column), so every row shares the same int objects.
+    matrix there.  Row r is the (degree+1)-tuple of index r.  For the face
+    dropping x_(i+1) write ``r = (h*n + y) * T + t`` with ``T = n^(degree-i)``:
+    head index h (the first i entries), acting element y and tail index t.
+    The dropped term sits at tuple index ``h*T + t`` and the acted term at
+    ``act_i[h*n + y]*T + t``, where ``act_i[h*n + y]`` is the index of the
+    head acted on by y; the tables grow by ``act_i[h*n + y] =
+    act_(i-1)[(h // n)*n + y]*n + table[h % n][y]``, and the last face
+    (T = 1) computes its acted head from ``last = act_(degree-1)`` instead of
+    storing a table n^(degree+1) long.  ``faces`` holds ``(sign, T, act_i)``
+    for the faces dropping x_2 .. x_(degree+1), with sign (-1)^(i+1) and
+    ``act_i`` None on the last face; the face dropping x_1 has an empty head,
+    which every element fixes, so it always cancels.  ``col`` maps a column
+    tuple index to its column position, -1 if it is not a column.
     """
     _check_cap(rack, max(degree, 0))
     if degree < 0:
-        return Coboundary([], [], [])
+        return [], [], [], [], []
     n, table = rack.size, rack.table
     if quandle and degree:
         row_idx: Sequence[int] = nondegenerate_indices(degree + 1, n)
@@ -139,14 +147,20 @@ def _delta_rows(rack: FiniteRack, degree: int, quandle: bool) -> Coboundary:
         acts.append(
             [prev[(h // n) * n + y] * n + table[h % n][y] for h in range(n**i) for y in range(n)]
         )
-    # (sign, T, act_i) for the faces dropping x_2 .. x_(degree+1); the sign is
-    # (-1)^(i+1) and the last face's table is None
     faces = [
         (1 if i % 2 else -1, n ** (degree - i), acts[i] if i < degree else None)
         for i in range(1, degree + 1)
     ]
-    last = acts[-1]
-    rows = []
+    return row_idx, col_idx, col, faces, acts[-1]
+
+
+def _dict_rows(rack: FiniteRack, setup) -> Iterator[dict[int, int]]:
+    """The rows ``{column position: nonzero coefficient}`` of the matrix
+    :func:`_faces` set up, one at a time.  A face whose acted head equals its
+    head cancels and is skipped, and every row shares the int keys of
+    ``col``."""
+    row_idx, _, col, faces, last = setup
+    n, table = rack.size, rack.table
     for r in row_idx:
         row: dict[int, int] = {}
         for sign, size, act in faces:
@@ -167,8 +181,36 @@ def _delta_rows(rack: FiniteRack, degree: int, quandle: bool) -> Coboundary:
                 row[j] = row.get(j, 0) - sign
         if 0 in row.values():
             row = {j: v for j, v in row.items() if v}
-        rows.append(row)
-    return Coboundary(row_idx, col_idx, rows)
+        yield row
+
+
+def _odd_masks(rack: FiniteRack, setup) -> Iterator[int]:
+    """The rows of the matrix :func:`_faces` set up, mod 2 and one at a time:
+    the int bitmask of each row's odd entries, bit j for column j.  Both
+    terms of a face are odd, so each flips its column's bit: ``bit[c]`` is
+    ``1 << col[c]``, or 0 off the columns.  No dict is built."""
+    row_idx, _, col, faces, last = setup
+    n, table = rack.size, rack.table
+    bit = [1 << j if j >= 0 else 0 for j in col]
+    for r in row_idx:
+        mask = 0
+        for _, size, act in faces:
+            q = r // size
+            h = q // n
+            if act is None:
+                a = last[(h // n) * n + q % n] * n + table[h % n][q % n]
+            else:
+                a = act[q]
+            if a != h:
+                t = r - q * size
+                mask ^= bit[h * size + t] ^ bit[a * size + t]
+        yield mask
+
+
+def _delta_rows(rack: FiniteRack, degree: int, quandle: bool) -> Coboundary:
+    """d^degree, by index arithmetic on tuples (see :func:`_faces`)."""
+    setup = _faces(rack, degree, quandle)
+    return Coboundary(setup[0], setup[1], list(_dict_rows(rack, setup)))
 
 
 def coboundary(rack: FiniteRack, degree: int) -> Coboundary:
@@ -207,9 +249,9 @@ def cohomology_dims(rack: FiniteRack, max_degree: int, quandle_mode: bool = Fals
     Each rank stops at the bound ``dim C^k - rank(d^(k-1)) - m_k`` of the
     orbit lemma (module docstring), which it never exceeds, so the dims are
     exact; a bound of 0 (trivial racks, Conj(Z4)) skips building d^k.  The
-    bound is also what lets a rank be settled mod 2 (see ``linalg``): rows
-    with that many pivots mod 2 have at least that rank, so only racks whose
-    coboundaries have 2-torsion (R4) need the integer elimination.
+    bound is also what lets a rank be settled mod 2, then mod 3 (module
+    docstring): rows with that many pivots mod p have at least that rank,
+    so only coboundaries with both 2- and 3-torsion reach ``exact_rank``.
     """
     if max_degree < 0:
         return []
@@ -230,7 +272,14 @@ def cohomology_dims(rack: FiniteRack, max_degree: int, quandle_mode: bool = Fals
             raise RuntimeError(
                 f"rank bound {limit} < 0 for d^{k} on {rack.name}: the orbit lemma fails"
             )
-        rank_here = exact_rank(build(rack, k).entries, limit=limit) if limit else 0
+        rank_here = limit
+        if limit:
+            setup = _faces(rack, k, quandle_mode)
+            if not (
+                _rank_mod_2_reaches(_odd_masks(rack, setup), limit)
+                or _rank_mod_3_reaches(_dict_rows(rack, setup), limit)
+            ):
+                rank_here = exact_rank(build(rack, k).entries, limit=limit)
         dims.append(cochains - rank_here - rank_below)
         rank_below = rank_here
     return dims

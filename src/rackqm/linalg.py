@@ -7,18 +7,21 @@ from fraction-free elimination that keeps every pivot primitive (coprime
 entries).  A caller with rational rows scales each row to an integer row
 first, which leaves its span over the rationals unchanged.
 
-A rank mod 2 never exceeds the rank over the rationals: r integer rows that
-are independent mod 2 have an r x r minor that is odd, hence a nonzero
-integer.  So ``exact_rank(rows, limit)`` first eliminates mod 2 on bitmasks
-and returns ``limit`` when that pass holds ``limit`` pivots; only when it
-falls short (2-torsion, as in R4's coboundaries) does the integer
-elimination run.  A rank with no ``limit`` is always the integer one.
+For any prime p a rank mod p never exceeds the rank over the rationals:
+r integer rows that are independent mod p have an r x r minor that is
+nonzero mod p, hence a nonzero integer.  So a caller that has proved
+``rank <= limit`` settles the rank at ``limit`` as soon as a screen mod p
+holds ``limit`` pivots.  The two private screens here, mod 2 on int
+bitmasks and mod 3 on bitsliced pairs of them, read rows from an iterable
+and stop at ``limit``; ``cochain.cohomology_dims`` runs them in the order
+2, 3 and only then ``exact_rank``, which itself eliminates over the
+integers alone.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = ["exact_rank", "sparse_matmul"]
 
@@ -40,21 +43,16 @@ def exact_rank(rows: Sequence[Mapping[int, int]], limit: int | None = None) -> i
     are skipped, zero entries in the input are ignored and the input rows
     are not modified.
 
-    With a ``limit``, a mod-2 pass (module docstring) runs first and returns
-    ``limit`` as soon as the rows read so far have ``limit`` pivots mod 2,
-    which proves ``rank >= limit``.  Only when it falls short does the
-    elimination above run, and it too returns as soon as it holds ``limit``
-    pivots; ``limit == 0`` returns 0 without reading any row.  A caller that
-    has proved ``rank <= limit`` thus gets the exact rank without reducing
-    the rows after the last pivot to zero, and when the mod-2 pass reaches
-    ``limit`` the rows after its last pivot are left unread.
+    With a ``limit`` the elimination returns as soon as it holds ``limit``
+    pivots, leaving the rows after the last one unread; ``limit == 0``
+    returns 0 without reading any row.  A caller that has proved
+    ``rank <= limit`` thus gets the exact rank without reducing the rows
+    after the last pivot to zero.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
     if limit == 0:
         return 0
-    if limit is not None and _rank_mod_2_reaches(rows, limit):
-        return limit
     pivots: dict[int, dict[int, int]] = {}
     for given in rows:
         if not given:
@@ -90,16 +88,13 @@ def exact_rank(rows: Sequence[Mapping[int, int]], limit: int | None = None) -> i
     return len(pivots)
 
 
-def _rank_mod_2_reaches(rows: Sequence[Mapping[int, int]], limit: int) -> bool:
-    """Whether the rows hold ``limit`` rows independent mod 2.  Each row is
-    the int bitmask of its odd entries, reduced by xor against the pivots
-    met so far, keyed like the integer pivots by their last column."""
+def _rank_mod_2_reaches(masks: Iterable[int], limit: int) -> bool:
+    """Whether the rows, given as int bitmasks of their odd entries, hold
+    ``limit`` rows independent mod 2.  Each mask is reduced by xor against
+    the pivots met so far, keyed like the integer pivots by their last
+    column; no mask is read after the ``limit``-th pivot."""
     pivots: dict[int, int] = {}
-    for given in rows:
-        mask = 0
-        for j, v in given.items():
-            if v & 1:
-                mask |= 1 << j
+    for mask in masks:
         while mask:
             lead = mask.bit_length() - 1
             pivot = pivots.get(lead)
@@ -109,6 +104,43 @@ def _rank_mod_2_reaches(rows: Sequence[Mapping[int, int]], limit: int) -> bool:
                     return True
                 break
             mask ^= pivot
+    return False
+
+
+def _rank_mod_3_reaches(rows: Iterable[Mapping[int, int]], limit: int) -> bool:
+    """Whether the rows hold ``limit`` rows independent mod 3, bitsliced: a
+    row mod 3 is the pair ``(plus, minus)`` of bitmasks of its entries that
+    are 1 and -1 mod 3.  With ``t = (px | my) ^ (mx | py)``, x + y is
+    ``((mx | my) ^ t, (px | py) ^ t)``, and -y swaps y's pair.  Pivots are
+    keyed by their last column, like the others, and lead with +1; each
+    keeps what cancels a lead of either sign.  No row is read after the
+    ``limit``-th pivot."""
+    pivots: dict[int, tuple[tuple[int, int], ...]] = {}
+    for given in rows:
+        px = mx = 0
+        for j, v in given.items():
+            v %= 3
+            if v == 1:
+                px |= 1 << j
+            elif v:
+                mx |= 1 << j
+        zx = px | mx
+        while zx:
+            lead = zx.bit_length() - 1
+            sign = mx >> lead & 1
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if sign:
+                    px, mx = mx, px
+                # what cancels a lead of +1 (the negated pivot), then of -1
+                pivots[lead] = ((mx, px), (px, mx))
+                if len(pivots) == limit:
+                    return True
+                break
+            py, my = pivot[sign]
+            t = (px | my) ^ (mx | py)
+            px, mx = (mx | my) ^ t, (px | py) ^ t
+            zx = px | mx
     return False
 
 

@@ -147,6 +147,24 @@ def test_rack_cohomology_refuses_a_huge_degree_before_any_power(rack_file, tmp_p
             ), result.stderr
 
 
+def test_rack_cohomology_on_one_element_refuses_the_same_degrees(tmp_path):
+    # |X|^(d+1) = 1 never reaches the cap, so without a degree rule the
+    # command printed d + 1 lines (300,001 at --degree 300000)
+    t1 = tmp_path / "t1.json"
+    t1.write_text(json.dumps(rack_to_dict(trivial_rack(1))))
+    bits = cochain.CAP.bit_length()
+    for extra in ((), ("--quandle",), ("--dump-matrix",), ("--quandle", "--dump-matrix")):
+        result = run_cli("rack", "cohomology", str(t1), "--degree", "300000", *extra, timeout=10)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == "" and "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: --degree 300000 prints 300001 dims")
+        assert f"d + 1 >= {bits}" in result.stderr
+    # the last degree below the rule still runs
+    result = run_cli("rack", "cohomology", str(t1), "--degree", str(bits - 2), "--json")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["dims"] == [1] * (bits - 1)
+
+
 def test_rack_presentation(rack_file, capsys):
     assert main(["rack", "presentation", rack_file]) == 0
     out = capsys.readouterr().out

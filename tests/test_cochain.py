@@ -12,6 +12,9 @@ from rackqm.cochain import (
     Coboundary,
     CochainCapError,
     _delta_rows,
+    _dict_rows,
+    _faces,
+    _odd_masks,
     coboundary,
     coboundary_products_vanish,
     cohomology_dims,
@@ -19,7 +22,7 @@ from rackqm.cochain import (
     quandle_coboundary,
 )
 from rackqm.free_product import free_quandle, free_rack, trivial_product
-from rackqm.linalg import _rank_mod_2_reaches, exact_rank, sparse_matmul
+from rackqm.linalg import _rank_mod_2_reaches, _rank_mod_3_reaches, exact_rank, sparse_matmul
 from rackqm.quasimorphism import (
     Sigma,
     bounded_2cocycle_check,
@@ -462,9 +465,14 @@ def test_exact_rank_stops_reading_rows_at_the_limit():
         exact_rank([{0: 1}], limit=-1)
 
 
+def odd_mask(row):
+    """The int bitmask of a row's odd entries, bit j for column j."""
+    return sum(1 << j for j, v in row.items() if v % 2)
+
+
 def test_mod_2_pass_gives_the_plain_rank_capped_at_the_limit():
     # sparse integer rows with entries in -4..4, even ones included, so some
-    # matrices have a lower rank mod 2 and take the integer fallback
+    # matrices have a lower rank mod 2 than over the rationals
     rng = random.Random(24)
     reached = fell_short = 0
     for i in range(200):
@@ -478,7 +486,7 @@ def test_mod_2_pass_gives_the_plain_rank_capped_at_the_limit():
         for limit in range(1, rank + 2):
             assert exact_rank(rows, limit=limit) == min(rank, limit), (i, rows, limit)
             if limit <= rank:
-                if _rank_mod_2_reaches(rows, limit):
+                if _rank_mod_2_reaches(map(odd_mask, rows), limit):
                     reached += 1
                 else:
                     fell_short += 1
@@ -487,7 +495,7 @@ def test_mod_2_pass_gives_the_plain_rank_capped_at_the_limit():
 
 
 def test_mod_2_pass_falls_back_on_two_torsion():
-    assert not _rank_mod_2_reaches([{0: 2}], 1)
+    assert not _rank_mod_2_reaches([odd_mask({0: 2})], 1)
     assert exact_rank([{0: 2}], limit=1) == 1
     # R4's d^2 and d^3 have 2-torsion: mod 2 their ranks are 8 and 40 (rack
     # mode) and 6 and 22 (quandle mode), under the limits cohomology_dims
@@ -497,9 +505,107 @@ def test_mod_2_pass_falls_back_on_two_torsion():
         for k, limit in limits.items():
             rows = build(rack, k).entries
             before = repr(rows)
-            assert not _rank_mod_2_reaches(rows, limit), (build.__name__, k)
+            assert not _rank_mod_2_reaches(map(odd_mask, rows), limit), (build.__name__, k)
             assert exact_rank(rows, limit=limit) == exact_rank(rows) == limit, (build.__name__, k)
             assert repr(rows) == before
+
+
+def test_mask_stream_matches_the_odd_entries_of_the_dict_rows():
+    # cohomology_dims reads each row mod 2 from the tuple indices, with no
+    # dict built; it must be the odd-entry mask of the row the builder makes
+    for rack in builtin_racks() + list(NON_QUANDLES):
+        for quandle in (False, True):
+            for k in range(5 if rack.size <= 5 else 4):
+                label = (rack.name, quandle, k)
+                setup = _faces(rack, k, quandle)
+                rows = _delta_rows(rack, k, quandle).entries
+                assert list(_odd_masks(rack, setup)) == [odd_mask(row) for row in rows], label
+                assert list(_dict_rows(rack, setup)) == rows, label
+
+
+def rank_mod_3(rows):
+    """Rank mod 3 by plain elimination on dict rows, with pivots scaled to
+    lead with 1: the oracle of the bitsliced screen."""
+    pivots = {}
+    for given in rows:
+        row = {j: v % 3 for j, v in given.items() if v % 3}
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:  # 1 and 2 are their own inverses mod 3
+                pivots[lead] = {j: v * row[lead] % 3 for j, v in row.items()}
+                break
+            f = row[lead]
+            for j, v in pivot.items():
+                w = (row.get(j, 0) - f * v) % 3
+                if w:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+    return len(pivots)
+
+
+def test_mod_3_screen_matches_a_plain_rank_mod_3():
+    rng = random.Random(25)
+    reached = fell_short = 0
+    for i in range(200):
+        rows_count, cols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [
+            {j: v for j in range(cols) if (v := rng.randint(-4, 4)) and rng.random() < 0.5}
+            for _ in range(rows_count)
+        ]
+        before = repr(rows)
+        rank, rank_3 = exact_rank(rows), rank_mod_3(rows)
+        assert rank_3 <= rank, (i, rows)  # the lemma, for p = 3
+        for limit in range(1, rank + 2):
+            got = _rank_mod_3_reaches(rows, limit)
+            assert got == (limit <= rank_3), (i, rows, limit)
+            if limit <= rank:
+                if got:
+                    reached += 1
+                else:
+                    fell_short += 1
+        assert repr(rows) == before, i  # input left as it was
+    assert reached and fell_short  # both outcomes seen below the rational rank
+
+
+def test_screens_stop_reading_rows_at_the_limit():
+    # a row past the limit-th pivot is never read: "x" has no bit_length or % 3
+    assert _rank_mod_2_reaches(iter([1, 3, 2, "x"]), 2)
+    assert _rank_mod_3_reaches(iter([{0: 1}, {0: 2}, {1: 5}, {2: "x"}]), 2)
+    with pytest.raises(AttributeError):
+        _rank_mod_2_reaches(iter([1, 3, 2, "x"]), 3)
+    with pytest.raises(TypeError):
+        _rank_mod_3_reaches(iter([{0: 1}, {0: 2}, {1: 5}, {2: "x"}]), 3)
+
+
+def test_torsion_map_of_the_screens():
+    def screens(rack, k, quandle, limit):
+        setup = _faces(rack, k, quandle)
+        return (
+            _rank_mod_2_reaches(_odd_masks(rack, setup), limit),
+            _rank_mod_3_reaches(_dict_rows(rack, setup), limit),
+        )
+
+    # 3-torsion: R3's rack d^3 has rank 19 mod 3 and Conj(S3)'s quandle d^3
+    # 112, under the limits 20 and 117 that cohomology_dims passes and that
+    # the mod-2 pass reaches
+    for rack, quandle, rank_3, limit in (
+        (dihedral_quandle(3), False, 19, 20),
+        (conjugation_rack(symmetric_group(3)), True, 112, 117),
+    ):
+        assert rank_mod_3(_delta_rows(rack, 3, quandle).entries) == rank_3, rack.name
+        assert screens(rack, 3, quandle, limit) == (True, False), rack.name
+    # 2-torsion: R4's d^2 and d^3 fall short mod 2 (see above) and reach
+    # their limits mod 3
+    rack = dihedral_quandle(4)
+    for quandle, limits in ((False, {2: 10, 3: 46}), (True, {2: 8, 3: 26})):
+        for k, limit in limits.items():
+            assert screens(rack, k, quandle, limit) == (False, True), (quandle, k)
+    # 6-torsion reaches neither, and only the integer elimination ranks it
+    assert not _rank_mod_2_reaches([odd_mask({0: 6})], 1)
+    assert not _rank_mod_3_reaches([{0: 6}], 1)
+    assert exact_rank([{0: 6}], limit=1) == 1
 
 
 def full_elimination_dims(rack, max_degree, quandle_mode):
@@ -522,6 +628,41 @@ def test_early_exit_dims_match_full_elimination():
             assert cohomology_dims(rack, 4, True) == full_elimination_dims(rack, 4, True), (
                 rack.name
             )
+
+
+def test_screens_settle_every_builtin_rank_and_the_fallback_agrees(monkeypatch):
+    # mod 2 or mod 3 settles every bounded rank of the built-ins here, so no
+    # exact_rank runs; forcing both screens to fall short sends every rank to
+    # exact_rank, which must give the same dims
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a rank the screens settle reached exact_rank")
+
+    jobs = [
+        (rack, quandle)
+        for rack in builtin_racks() + list(NON_QUANDLES)
+        for quandle in ((False, True) if rack.quandle else (False,))
+    ]
+    monkeypatch.setattr(cochain, "exact_rank", forbidden)
+    screened = [cohomology_dims(rack, 3, quandle) for rack, quandle in jobs]
+    calls = []
+
+    def counted(rows, limit=None):
+        calls.append(limit)
+        return exact_rank(rows, limit)
+
+    monkeypatch.setattr(cochain, "exact_rank", counted)
+    monkeypatch.setattr(cochain, "_rank_mod_2_reaches", lambda masks, limit: False)
+    monkeypatch.setattr(cochain, "_rank_mod_3_reaches", lambda rows, limit: False)
+    assert [cohomology_dims(rack, 3, quandle) for rack, quandle in jobs] == screened
+    assert calls and all(calls)
+
+
+def test_r4_dims_at_degrees_five_and_six():
+    # R4 has 2-torsion, so its bounded ranks are settled mod 3
+    rack = dihedral_quandle(4)
+    assert cohomology_dims(rack, 5) == full_elimination_dims(rack, 5, False)
+    assert cohomology_dims(rack, 5, True) == full_elimination_dims(rack, 5, True)
+    assert cohomology_dims(rack, 6) == [2**k for k in range(7)]
 
 
 def _orbit_sequences(c, k, quandle_mode):
@@ -582,13 +723,18 @@ def test_orbit_lemma_cocycles_cycles_and_diagonal_pairing():
                         assert pairing == (expected if a == b else 0), (label, a, b)
 
 
+# what cohomology_dims reads rows through before any exact_rank: the face
+# set-up, the mask and dict-row streams and the screens mod 2 and mod 3
+STREAMS = ("_faces", "_odd_masks", "_dict_rows", "_rank_mod_2_reaches", "_rank_mod_3_reaches")
+
+
 def test_zero_rank_bounds_build_no_coboundary(monkeypatch):
     # on a rack with one-point orbits the bound is 0 in every degree, so no
     # d^k is built or ranked; Conj(Z4) is such a rack
     def forbidden(*args, **kwargs):
         raise AssertionError("built or ranked a matrix the bound rules out")
 
-    for attr in ("coboundary", "quandle_coboundary", "exact_rank"):
+    for attr in ("coboundary", "quandle_coboundary", "exact_rank") + STREAMS:
         monkeypatch.setattr(cochain, attr, forbidden)
     for rack in (trivial_rack(3), conjugation_rack(cyclic_group(4))):
         n = rack.size
@@ -600,7 +746,7 @@ def test_quandle_mode_on_a_non_quandle_fails_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the quandle check")
 
-    for attr in ("coboundary", "quandle_coboundary", "exact_rank", "components"):
+    for attr in ("coboundary", "quandle_coboundary", "exact_rank", "components") + STREAMS:
         monkeypatch.setattr(cochain, attr, forbidden)
     for rack in NON_QUANDLES:
         with pytest.raises(ValueError, match="needs a quandle"):
