@@ -52,7 +52,8 @@ minor that is nonzero mod p, hence a nonzero integer, so a bounded rank is
 settled once a screen mod p holds that many pivots.  ``cohomology_dims``
 streams rows in the order 2, 3, integers: odd-entry bitmasks straight from
 the index arithmetic; dict rows for mod 3 only where mod 2 falls short
-(2-torsion, as in R4); d^k whole for ``exact_rank`` only where both do.
+(2-torsion, as in R4); the dict rows listed for ``exact_rank`` only where
+both do.
 """
 
 from __future__ import annotations
@@ -258,7 +259,6 @@ def cohomology_dims(rack: FiniteRack, max_degree: int, quandle_mode: bool = Fals
     _check_cap(rack, max_degree)
     if quandle_mode and max_degree and not rack.quandle:
         raise ValueError("quandle mode needs a quandle")
-    build = quandle_coboundary if quandle_mode else coboundary
     n, c = rack.size, components(rack).count
     dims = [1]
     rank_below = 0  # rank of d^(k-1)
@@ -279,7 +279,7 @@ def cohomology_dims(rack: FiniteRack, max_degree: int, quandle_mode: bool = Fals
                 _rank_mod_2_reaches(_odd_masks(rack, setup), limit)
                 or _rank_mod_3_reaches(_dict_rows(rack, setup), limit)
             ):
-                rank_here = exact_rank(build(rack, k).entries, limit=limit)
+                rank_here = exact_rank(list(_dict_rows(rack, setup)), limit=limit)
         dims.append(cochains - rank_here - rank_below)
         rank_below = rank_here
     return dims

@@ -470,6 +470,28 @@ def odd_mask(row):
     return sum(1 << j for j, v in row.items() if v % 2)
 
 
+def rank_mod(rows, p):
+    """Rank mod p, for p = 2 or 3, by plain elimination on dict rows, with
+    pivots scaled to lead with 1: the oracle of the screens."""
+    pivots = {}
+    for given in rows:
+        row = {j: v % p for j, v in given.items() if v % p}
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:  # mod 2 and mod 3 every unit is its own inverse
+                pivots[lead] = {j: v * row[lead] % p for j, v in row.items()}
+                break
+            f = row[lead]
+            for j, v in pivot.items():
+                w = (row.get(j, 0) - f * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+    return len(pivots)
+
+
 def test_mod_2_pass_gives_the_plain_rank_capped_at_the_limit():
     # sparse integer rows with entries in -4..4, even ones included, so some
     # matrices have a lower rank mod 2 than over the rationals
@@ -482,16 +504,19 @@ def test_mod_2_pass_gives_the_plain_rank_capped_at_the_limit():
             for _ in range(rows_count)
         ]
         before = repr(rows)
-        rank = exact_rank(rows)
+        rank, rank_2 = exact_rank(rows), rank_mod(rows, 2)
+        assert rank_2 <= rank, (i, rows)  # the lemma, for p = 2
         for limit in range(1, rank + 2):
             assert exact_rank(rows, limit=limit) == min(rank, limit), (i, rows, limit)
+            got = _rank_mod_2_reaches(map(odd_mask, rows), limit)
+            assert got == (limit <= rank_2), (i, rows, limit)
             if limit <= rank:
-                if _rank_mod_2_reaches(map(odd_mask, rows), limit):
+                if got:
                     reached += 1
                 else:
                     fell_short += 1
         assert repr(rows) == before, i  # input left as it was
-    assert reached and fell_short  # both paths ran
+    assert reached and fell_short  # both outcomes seen below the rational rank
 
 
 def test_mod_2_pass_falls_back_on_two_torsion():
@@ -501,10 +526,12 @@ def test_mod_2_pass_falls_back_on_two_torsion():
     # mode) and 6 and 22 (quandle mode), under the limits cohomology_dims
     # passes, which the rational ranks reach
     rack = dihedral_quandle(4)
+    ranks_2 = {coboundary: {2: 8, 3: 40}, quandle_coboundary: {2: 6, 3: 22}}
     for build, limits in ((coboundary, {2: 10, 3: 46}), (quandle_coboundary, {2: 8, 3: 26})):
         for k, limit in limits.items():
             rows = build(rack, k).entries
             before = repr(rows)
+            assert rank_mod(rows, 2) == ranks_2[build][k], (build.__name__, k)
             assert not _rank_mod_2_reaches(map(odd_mask, rows), limit), (build.__name__, k)
             assert exact_rank(rows, limit=limit) == exact_rank(rows) == limit, (build.__name__, k)
             assert repr(rows) == before
@@ -523,28 +550,6 @@ def test_mask_stream_matches_the_odd_entries_of_the_dict_rows():
                 assert list(_dict_rows(rack, setup)) == rows, label
 
 
-def rank_mod_3(rows):
-    """Rank mod 3 by plain elimination on dict rows, with pivots scaled to
-    lead with 1: the oracle of the bitsliced screen."""
-    pivots = {}
-    for given in rows:
-        row = {j: v % 3 for j, v in given.items() if v % 3}
-        while row:
-            lead = max(row)
-            pivot = pivots.get(lead)
-            if pivot is None:  # 1 and 2 are their own inverses mod 3
-                pivots[lead] = {j: v * row[lead] % 3 for j, v in row.items()}
-                break
-            f = row[lead]
-            for j, v in pivot.items():
-                w = (row.get(j, 0) - f * v) % 3
-                if w:
-                    row[j] = w
-                else:
-                    row.pop(j, None)
-    return len(pivots)
-
-
 def test_mod_3_screen_matches_a_plain_rank_mod_3():
     rng = random.Random(25)
     reached = fell_short = 0
@@ -555,7 +560,7 @@ def test_mod_3_screen_matches_a_plain_rank_mod_3():
             for _ in range(rows_count)
         ]
         before = repr(rows)
-        rank, rank_3 = exact_rank(rows), rank_mod_3(rows)
+        rank, rank_3 = exact_rank(rows), rank_mod(rows, 3)
         assert rank_3 <= rank, (i, rows)  # the lemma, for p = 3
         for limit in range(1, rank + 2):
             got = _rank_mod_3_reaches(rows, limit)
@@ -594,7 +599,7 @@ def test_torsion_map_of_the_screens():
         (dihedral_quandle(3), False, 19, 20),
         (conjugation_rack(symmetric_group(3)), True, 112, 117),
     ):
-        assert rank_mod_3(_delta_rows(rack, 3, quandle).entries) == rank_3, rack.name
+        assert rank_mod(_delta_rows(rack, 3, quandle).entries, 3) == rank_3, rack.name
         assert screens(rack, 3, quandle, limit) == (True, False), rack.name
     # 2-torsion: R4's d^2 and d^3 fall short mod 2 (see above) and reach
     # their limits mod 3
