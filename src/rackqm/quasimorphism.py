@@ -15,9 +15,11 @@ comparisons run on those integer numerators (scaling by D > 0 keeps every
 order); a ``Fraction`` is built only where a value leaves the module.
 
 Every defect estimate and every sampled check of the bounded 2-cochain
-``phi(p) - phi(p <| q)`` is computed at the junction where two reduced words
-meet (:func:`_junction`); re-summing whole words with :func:`rolli_qm` and
-:func:`rack_qm` gives the same values and is kept as the tests' oracle.
+``phi(p) - phi(p <| q)`` is read off the junction where two reduced words
+meet: one pair at a time (:func:`_junction`), or, for the exhaustive group
+defect, one walk per g of the prefix tree of every h, which shares each merge
+term with all the h below it.  Re-summing whole words with :func:`rolli_qm`
+and :func:`rack_qm` gives the same values and is kept as the tests' oracle.
 
 The homogeneous route is also provided: Brooks counting quasimorphisms on
 free-group words, numeric homogenization with certified interval arithmetic
@@ -459,43 +461,76 @@ def group_defect_estimate(
     values bounded by ``exhaustive_exponent``; the random part draws
     ``config.samples`` extra pairs.  Each difference is read off the junction
     of g and h (:func:`_junction`).  The result is a lower bound for the true
-    defect, reported with an achieving pair.
+    defect, reported with the first pair that reaches it: exhaustive pairs by
+    |g|, then |h|, then g and h in enumeration order; then the sampled pairs.
+
+    The words form one prefix tree, and a junction reads only the end of g
+    and the start of h.  So each g walks the tree from the root, reading g
+    from its end: into the child that cancels, past every other child of the
+    factor, which merges with one term for every h below it.  Of equal
+    terms, the subtree of lowest enumeration rank holds the first h.
     """
     parent = family.parent
     best = 0  # times the family's denominator, as every junction term
     witness = ("", "")
-    checked = 0
-
-    def bind(h: SyllableWord) -> tuple:
-        # h with its syllable lookup and length, read once for every g
-        return h, h.syllables.__getitem__, len(h)
-
-    def consider(g: SyllableWord, hs: Sequence[tuple]) -> None:
-        nonlocal best, witness, checked
-        head = g.syllables
-        for h, at, length in hs:
-            merge = _junction(family, head, at, length)[0]
-            if merge is not None and abs(merge) > best:
-                best = abs(merge)
-                witness = (g.render(parent), h.render(parent))
-        checked += len(hs)
+    checked = config.samples
 
     if exhaustive_syllables is not None:
+        budget = exhaustive_syllables
         exponent = config.max_exponent if exhaustive_exponent is None else exhaustive_exponent
-        by_length: dict[int, list[tuple]] = {}
-        for word in enumerate_syllable_words(parent, exhaustive_syllables, exponent):
-            by_length.setdefault(len(word), []).append(bind(word))
-        for lg, gs in sorted(by_length.items()):
-            for lh, hs in sorted(by_length.items()):
-                if lg + lh > exhaustive_syllables:
-                    break
-                for g, _, _ in gs:
-                    consider(g, hs)
+        # the tree: nodes [syllable, parent, {syllable: child's rank}] by rank and
+        # by depth; a child is held by its rank, so no reference cycle forms
+        nodes: list[list] = []
+        levels: dict[int, list[list]] = {}
+        for rank, word in enumerate(enumerate_syllable_words(parent, budget, exponent)):
+            depth = len(word)
+            node = [None, None, {} if depth < budget else None]
+            if depth:  # the parent is the latest word one syllable shorter
+                node[0] = syllable = word.syllables[-1]
+                node[1] = up = levels[depth - 1][-1]
+                up[2][syllable] = rank
+            nodes.append(node)
+            levels.setdefault(depth, []).append(node)
+        sizes = [len(level) for level in levels.values()]
+        checked += sum(m * n for lg, m in enumerate(sizes) for n in sizes[: budget - lg + 1])
+        # a syllable a -> (a^-1, a's largest merge term, the first b reaching it);
+        # only walks read rows, and a walk needs a budget of 2 syllables
+        rows = {}
+        for f in parent.factors if budget > 1 else ():
+            lam, values = family.evaluators[f.factor], tuple(f.enumerate_values(exponent))
+            lams = [lam(b) for b in values]
+            for a, la in zip(values, lams):
+                terms = [abs(la + lb - lam(f.multiply(a, b))) for b, lb in zip(values, lams)]
+                top = max(terms)  # the cancelling b's term is 0: lambda is odd
+                merge = values[terms.index(top)]
+                rows[f.factor, a] = ((f.factor, scale(a, -1)), top, (f.factor, merge))
+        found = None
+        for lg in range(1, len(levels)):
+            for lh in range(1, min(budget - lg, len(levels) - 1) + 1):
+                for g in levels[lg]:
+                    node, at, top = nodes[0], g, 0
+                    for k in range(min(lg, lh)):  # until g is used up or |h| is reached
+                        cancel, term, merge = rows[at[0]]
+                        if term > top or term == top > 0 and node[2][merge] < hit:
+                            top, hit, down = term, node[2][merge], lh - 1 - k
+                        node, at = nodes[node[2][cancel]], at[1]
+                    if top > best:
+                        best, found = top, (g, hit, down)
+        if found:
+            def path(node: list) -> tuple:  # the syllables from the root down to a node
+                return path(node[1]) + (node[0],) if node[1] else ()
+
+            g, rank, down = found
+            for _ in range(down):  # down the first children: the first h below the merge
+                rank = next(iter(nodes[rank][2].values()))
+            witness = tuple(SyllableWord(path(n)).render(parent) for n in (g, nodes[rank]))
 
     draw = word_sampler(parent, make_rng(config), config.max_syllables, config.max_exponent)
     for _ in range(config.samples):
         g, h = draw(), draw()
-        consider(g, (bind(h),))
+        merge = _junction(family, g.syllables, h.syllables.__getitem__, len(h))[0]
+        if merge is not None and abs(merge) > best:
+            best, witness = abs(merge), (g.render(parent), h.render(parent))
 
     return DefectEstimate(Fraction(best, family.denominator), witness, checked)
 

@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .adjoint import Value
 from .free_product import FreeProductElement, FreeProductRack, SyllableWord
 
 __all__ = [
@@ -166,26 +165,31 @@ def enumerate_syllable_words(
     parent: FreeProductRack, max_syllables: int, max_exponent: int
 ) -> Iterator[SyllableWord]:
     """All alternating words with at most ``max_syllables`` syllables and factor
-    values drawn from each model's bounded enumeration (identity included).
+    values drawn from each model's bounded enumeration (the empty word included).
 
     The count grows geometrically; meant for small exhaustive budgets.  A
-    negative budget raises at the call, not at the first word.
+    negative budget or exponent raises at the call, not at the first word.
     """
     if max_syllables < 0:
         raise ValueError(f"--exhaustive must be at least 0, got {max_syllables}")
-    values = {
-        f.factor: tuple(f.enumerate_values(max_exponent)) for f in parent.factors
-    }
-    names = parent.factor_names
+    if max_exponent < 0:
+        raise ValueError(f"--max-exponent must be at least 0, got {max_exponent}")
+    syllables = [(f.factor, v) for f in parent.factors for v in f.enumerate_values(max_exponent)]
+    ends = (None, *parent.factor_names)  # the factor a word ends in; None: the empty word
+    after = {last: tuple(s for s in syllables if s[0] != last) for last in ends}
 
-    def extend(prefix: tuple[tuple[str, Value], ...], last: str | None):
-        yield SyllableWord(prefix)
-        if len(prefix) == max_syllables:
-            return
-        for name in names:
-            if name == last:
+    def words() -> Iterator[SyllableWord]:
+        yield SyllableWord()
+        stack = [((), iter(after[None]))] if max_syllables else []
+        while stack:  # depth first: (a word, an iterator over what may follow it)
+            prefix, rest = stack[-1]
+            syllable = next(rest, None)
+            if syllable is None:
+                stack.pop()
                 continue
-            for value in values[name]:
-                yield from extend(prefix + ((name, value),), name)
+            word = prefix + (syllable,)
+            yield SyllableWord(word)
+            if len(word) < max_syllables:
+                stack.append((word, iter(after[syllable[0]])))
 
-    return extend((), None)
+    return words()

@@ -332,6 +332,17 @@ def test_exhaustive_budget_admits_the_documented_runs():
     assert cli._exhaustive_size(free_rack(["a", "b"]), 6, 3) <= cli.EXHAUSTIVE_WORDS
 
 
+def test_the_largest_exhaustive_run_the_budget_admits_finishes(sign_family_file):
+    # 524,285 words, 16,777,225 pairs: one walk of the word tree per g, not
+    # one junction per pair, keeps this inside the timeout
+    result = run_cli(
+        "qm", "defect", sign_family_file, "--group", "--exhaustive", "17",
+        "--max-exponent", "1", "--samples", "0",
+    )
+    assert result.returncode == 0, result.stderr
+    assert "(16777225 pairs)" in result.stdout
+
+
 def test_qm_homogenize_expands_a_long_pattern_once():
     # 500 sampled pairs against a pattern of a million letters
     result = run_cli(

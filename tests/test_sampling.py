@@ -1,4 +1,4 @@
-"""The samplers' random stream.
+"""The samplers' random stream, and the exhaustive enumeration's order.
 
 Every draw goes through ``adjoint._below``, which replays CPython 3.11's
 ``Random._randbelow`` on ``getrandbits``.  These tests replay ``randint``,
@@ -20,8 +20,14 @@ import pytest
 
 import rackqm
 from rackqm.adjoint import FreeRackFactorModel, _below
-from rackqm.free_product import free_quandle, free_rack, trivial_product
-from rackqm.sampling import element_sampler, sample_element, sample_syllable_word, word_sampler
+from rackqm.free_product import SyllableWord, free_quandle, free_rack, trivial_product
+from rackqm.sampling import (
+    element_sampler,
+    enumerate_syllable_words,
+    sample_element,
+    sample_syllable_word,
+    word_sampler,
+)
 
 WIDTHS = [1, 2, 3, 4, 5, 7, 8, 11, 2**31 - 1, 2**31 + 1, 2**64 + 1]
 
@@ -256,3 +262,32 @@ def test_bad_sampler_arguments_fail_whatever_the_seed(name, call):
         with pytest.raises(ValueError, match=name):
             call(rng)
         assert rng.getstate() == state
+
+
+def recursive_enumeration(parent, max_syllables, max_exponent):
+    """The nested generators that ``enumerate_syllable_words`` replaced."""
+    values = {f.factor: tuple(f.enumerate_values(max_exponent)) for f in parent.factors}
+
+    def extend(prefix, last):
+        yield SyllableWord(prefix)
+        if len(prefix) == max_syllables:
+            return
+        for name in parent.factor_names:
+            if name != last:
+                for value in values[name]:
+                    yield from extend(prefix + ((name, value),), name)
+
+    return extend((), None)
+
+
+ENUMERATED = {"FR3": THREE_FACTORS["FR3"], **{n: PARENTS[n] for n in ("FR", "FQ", "T2*T3")}}
+
+
+@pytest.mark.parametrize("name", ENUMERATED)
+def test_enumeration_keeps_the_order_of_the_recursive_generators(name):
+    # the exhaustive group defect's witness is the first pair in this order
+    parent = ENUMERATED[name]
+    for max_exponent in (0, 1, 2):
+        for max_syllables in range(4 if name != "T2*T3" or max_exponent < 2 else 3):
+            words = list(enumerate_syllable_words(parent, max_syllables, max_exponent))
+            assert words == list(recursive_enumeration(parent, max_syllables, max_exponent))

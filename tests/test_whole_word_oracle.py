@@ -5,7 +5,9 @@ kernels against plain reference loops.
 read every difference off the junction where two reduced words meet.  The
 loops here re-sum whole words instead (``concat_words`` + ``rolli_qm`` on the
 group side, ``rack_op`` + ``rack_qm`` on the rack side), draw the same pairs
-in the same order, and must give equal results in every field.
+in the same order, and must give equal results in every field.  The
+exhaustive group defect walks a prefix tree of its words; a second loop reads
+one ``_junction`` per pair instead.
 
 ``independence_certificate`` and ``witness_growth_table`` evaluate each
 periodic witness ``(x, period^n)`` on one period; here ``rack_qm`` sums the
@@ -23,6 +25,7 @@ from math import lcm
 import pytest
 
 import rackqm.certify as certify_mod
+import rackqm.cli as cli
 import rackqm.quasimorphism as qm_mod
 from rackqm.adjoint import scale
 from rackqm.certify import independence_certificate
@@ -45,6 +48,7 @@ from rackqm.quasimorphism import (
     UnboundednessWitness,
     ZeroComponent,
     _increment,
+    _junction,
     bounded_2cocycle_check,
     check_cocycle_diag,
     find_unboundedness_witness,
@@ -187,6 +191,62 @@ def test_cocycle_checks_match_whole_tail_loops(parent, label):
     assert report == whole_tail_2cocycle(family, CONFIG, 60)
 
 
+def pairwise_group_defect(family, config, exhaustive_syllables, exhaustive_exponent):
+    """The estimate as one ``_junction`` per (g, h) pair, in its order: the
+    loop that the prefix-tree walk replaced."""
+    parent = family.parent
+    pairs = defect_pairs(parent, config, exhaustive_syllables, exhaustive_exponent)
+    best, witness = 0, ("", "")
+    for g, h in pairs:
+        merge = _junction(family, g.syllables, h.syllables.__getitem__, len(h))[0]
+        if merge is not None and abs(merge) > best:
+            best, witness = abs(merge), (g.render(parent), h.render(parent))
+    return DefectEstimate(Fraction(best, family.denominator), witness, len(pairs))
+
+
+# (budget, exponent) runs of at most 50,000 exhaustive pairs each
+PAIRWISE_RUNS = {
+    "FR": [(s, e) for e in (1, 2, 3) for s in range(6) if (s, e) != (5, 3)],
+    "FQ": [(s, e) for e in (1, 2, 3) for s in range(6) if (s, e) != (5, 3)],
+    "T2*T3": [(s, e) for e in (1, 2, 3) for s in range(5 - e)],
+    "FR3": [(s, e) for e in (1, 2, 3) for s in range(7 - e)],
+}
+
+
+@pytest.mark.parametrize("name", PAIRWISE_RUNS)
+def test_tree_walk_matches_the_pairwise_junctions(name):
+    parent = PARENTS[name]
+    named = families(parent)
+    for label in ("sign", "zero", "iota(1/3 tail)", "table"):
+        family = named[label]
+        for syllables, exponent in PAIRWISE_RUNS[name]:
+            for samples in (0, 20):
+                config = SamplerConfig(seed=7, samples=samples, max_syllables=3, max_exponent=2)
+                est = group_defect_estimate(family, config, syllables, exponent)
+                expected = pairwise_group_defect(family, config, syllables, exponent)
+                assert est == expected, (label, syllables, exponent, samples)
+
+
+def test_exhaustive_search_enumerates_once_through_the_module_global(monkeypatch):
+    # the benchmark's tracer counts words by patching this module global
+    calls, words = [], []
+
+    def counting(*args):
+        calls.append(args)
+        for word in enumerate_syllable_words(*args):
+            words.append(word)
+            yield word
+
+    monkeypatch.setattr(qm_mod, "enumerate_syllable_words", counting)
+    parent = PARENTS["FR3"]
+    group_defect_estimate(sign_family(parent), SamplerConfig(samples=5), 4, 2)
+    assert calls == [(parent, 4, 2)]
+    values = sum(len(list(f.enumerate_values(2))) for f in parent.factors)
+    assert len(words) == cli._exhaustive_size(parent, 4, 2) - values
+    group_defect_estimate(sign_family(parent), SamplerConfig(samples=5))
+    assert len(calls) == 1
+
+
 def test_group_defect_sees_merges():
     # the largest merge term with exponents up to 2 is
     # |sigma(2) + sigma(2) - sigma(4)| = |-2 - 2 - 1/3|
@@ -211,6 +271,11 @@ def test_negative_exhaustive_budget_is_rejected():
         enumerate_syllable_words(PARENTS["FR"], -1, 2)
     with pytest.raises(ValueError, match="--exhaustive"):
         group_defect_estimate(sign_family(PARENTS["FR"]), CONFIG, -1)
+    # a negative exponent would leave the empty word alone, and defect 0
+    with pytest.raises(ValueError, match="--max-exponent"):
+        enumerate_syllable_words(PARENTS["FR"], 3, -1)
+    with pytest.raises(ValueError, match="--max-exponent"):
+        group_defect_estimate(sign_family(PARENTS["FR"]), SamplerConfig(samples=0), 3, -2)
 
 
 # -- one period against the n-fold tail ------------------------------------------
