@@ -478,24 +478,25 @@ def group_defect_estimate(
     if exhaustive_syllables is not None:
         budget = exhaustive_syllables
         exponent = config.max_exponent if exhaustive_exponent is None else exhaustive_exponent
-        # the tree: nodes [syllable, parent, {syllable: child's rank}] by rank and
-        # by depth; a child is held by its rank, so no reference cycle forms
+        # nodes [syllable, parent, {syllable: child's rank}]; ranks, so that no cycle forms
         nodes: list[list] = []
-        levels: dict[int, list[list]] = {}
-        for rank, word in enumerate(enumerate_syllable_words(parent, budget, exponent)):
+        levels: dict[int, list] = {}  # nodes by depth
+        for word in enumerate_syllable_words(parent, budget, exponent):
             depth = len(word)
-            node = [None, None, {} if depth < budget else None]
+            level = levels.setdefault(depth, [])
+            if depth == budget > 0:  # only counted: no walk and no witness goes this deep
+                level.append(None)
+                continue
+            node = [None, None, {} if depth < budget - 1 else None]
             if depth:  # the parent is the latest word one syllable shorter
                 node[0] = syllable = word.syllables[-1]
                 node[1] = up = levels[depth - 1][-1]
-                up[2][syllable] = rank
+                up[2][syllable] = len(nodes)
             nodes.append(node)
-            levels.setdefault(depth, []).append(node)
+            level.append(node)
         sizes = [len(level) for level in levels.values()]
         checked += sum(m * n for lg, m in enumerate(sizes) for n in sizes[: budget - lg + 1])
-        # a syllable a -> (a^-1, a's largest merge term, the first b reaching it);
-        # only walks read rows, and a walk needs a budget of 2 syllables
-        rows = {}
+        rows = {}  # a -> (a^-1, its largest merge term, its first b); walks need budget 2
         for f in parent.factors if budget > 1 else ():
             lam, values = family.evaluators[f.factor], tuple(f.enumerate_values(exponent))
             lams = [lam(b) for b in values]
@@ -506,7 +507,7 @@ def group_defect_estimate(
                 rows[f.factor, a] = ((f.factor, scale(a, -1)), top, (f.factor, merge))
         found = None
         for lg in range(1, len(levels)):
-            for lh in range(1, min(budget - lg, len(levels) - 1) + 1):
+            for lh in range(1, budget - lg + 1):
                 for g in levels[lg]:
                     node, at, top = nodes[0], g, 0
                     for k in range(min(lg, lh)):  # until g is used up or |h| is reached
@@ -519,7 +520,6 @@ def group_defect_estimate(
         if found:
             def path(node: list) -> tuple:  # the syllables from the root down to a node
                 return path(node[1]) + (node[0],) if node[1] else ()
-
             g, rank, down = found
             for _ in range(down):  # down the first children: the first h below the merge
                 rank = next(iter(nodes[rank][2].values()))
