@@ -478,7 +478,7 @@ def group_defect_estimate(
     if exhaustive_syllables is not None:
         budget = exhaustive_syllables
         exponent = config.max_exponent if exhaustive_exponent is None else exhaustive_exponent
-        # nodes [syllable, parent, {syllable: child's rank}]; ranks, so that no cycle forms
+        # nodes [syllable, parent, {syllable: child's index}], an index so that no cycle forms
         nodes: list[list] = []
         levels: dict[int, list] = {}  # nodes by depth
         for word in enumerate_syllable_words(parent, budget, exponent):

@@ -265,7 +265,7 @@ def test_bad_sampler_arguments_fail_whatever_the_seed(name, call):
 
 
 def recursive_enumeration(parent, max_syllables, max_exponent):
-    """The nested generators that ``enumerate_syllable_words`` replaced."""
+    """``enumerate_syllable_words`` as nested generators, as it was before its stack."""
     values = {f.factor: tuple(f.enumerate_values(max_exponent)) for f in parent.factors}
 
     def extend(prefix, last):
