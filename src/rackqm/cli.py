@@ -10,6 +10,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable
 
 from . import cochain as cochain_mod
@@ -18,13 +19,14 @@ from . import quasimorphism as qm
 from .adjoint import _below, presentation
 from .certify import boundedness_refutation, independence_certificate
 from .racks import RackValidationError, components, load_group, load_rack
-from .sampling import SamplerConfig
+from .sampling import SamplerConfig, count_syllable_words
 from .words import GroupWord, parse_word
 
 OK, INVARIANT_VIOLATED, INPUT_ERROR = 0, 1, 2
 
 HOMOGENIZE_LETTERS = 2**20  # letter budget of qm homogenize's pattern and of its longest power
 EXHAUSTIVE_WORDS = 10**6  # budget of factor values plus words qm defect --exhaustive enumerates
+EXHAUSTIVE_TERMS = 4 * 10**6  # budget of the merge terms qm defect --exhaustive 2 and up evaluates
 CERTIFICATE_ENTRIES = 10**6  # budget of rank^2 matrix entries certify independence evaluates
 FACTOR_RANKS = 10**5  # budget of the summed factor ranks that --sizes asks for
 SAMPLED_EXPONENTS = 10**7  # budget of the exponents qm defect's sampled pairs may draw
@@ -227,27 +229,37 @@ def cmd_qm_eval(args) -> int:
     return OK
 
 
-def _exhaustive_size(parent: fp.FreeProductRack, syllables: int, exponent: int) -> int:
-    """The factor values plus alternating words of at most ``syllables``
-    syllables that the exhaustive enumeration builds, counted in closed form
-    and only until the count passes ``EXHAUSTIVE_WORDS``."""
-    values = {}  # a rank-r factor has every exponent vector in [-E, E]^r but 0
+def _value_counts(parent: fp.FreeProductRack, exponent: int) -> list[int]:
+    """The values of each factor that the exhaustive enumeration takes, in
+    closed form; a count past ``EXHAUSTIVE_WORDS`` stops growing there."""
+    counts = []  # a rank-r factor has every exponent vector in [-E, E]^r but 0
     for f in parent.factors:
         count = 1
         for _ in range(f.rank):
             count *= 2 * exponent + 1
             if count > EXHAUSTIVE_WORDS:
                 break
-        values[f.factor] = count - 1
-    total = 1 + sum(values.values())  # the empty word and the factor values
-    ending = dict(values)  # the words of the current length, by last factor
-    for _ in range(syllables):
+        counts.append(count - 1)
+    return counts
+
+
+def _exhaustive_size(parent: fp.FreeProductRack, syllables: int, exponent: int) -> int:
+    """The factor values plus alternating words of at most ``syllables``
+    syllables that the exhaustive enumeration builds, counted in closed form
+    and only until the count passes ``EXHAUSTIVE_WORDS``."""
+    values = _value_counts(parent, exponent)
+    total = sum(values)
+    for words in islice(count_syllable_words(values), syllables + 1):
+        total += words
         if total > EXHAUSTIVE_WORDS:
             break
-        words = sum(ending.values())
-        total += words
-        ending = {name: v * (words - ending[name]) for name, v in values.items()}
     return total
+
+
+def _merge_terms(parent: fp.FreeProductRack, exponent: int) -> int:
+    """The merge terms ``lambda(a) + lambda(b) - lambda(ab)`` that the
+    exhaustive group defect evaluates: every pair of values of each factor."""
+    return sum(v * v for v in _value_counts(parent, exponent))
 
 
 def _sampled_exponents(parent: fp.FreeProductRack, config: SamplerConfig) -> int:
@@ -269,14 +281,20 @@ def cmd_qm_defect(args) -> int:
             f"{SAMPLED_EXPONENTS}; lower --samples, --max-syllables or the --sizes ranks"
         )
     if args.group:
-        if (
-            args.exhaustive is not None
-            and _exhaustive_size(parent, args.exhaustive, args.max_exponent) > EXHAUSTIVE_WORDS
-        ):
-            raise ValueError(
-                f"--exhaustive {args.exhaustive} at --max-exponent {args.max_exponent} enumerates "
-                f"more than the budget of {EXHAUSTIVE_WORDS} factor values and words"
-            )
+        if args.exhaustive is not None:
+            run = f"--exhaustive {args.exhaustive} at --max-exponent {args.max_exponent}"
+            if _exhaustive_size(parent, args.exhaustive, args.max_exponent) > EXHAUSTIVE_WORDS:
+                raise ValueError(
+                    f"{run} enumerates more than the budget of {EXHAUSTIVE_WORDS} "
+                    f"factor values and words"
+                )
+            # a budget below 2 syllables has no pair of syllables to merge
+            terms = _merge_terms(parent, args.max_exponent) if args.exhaustive >= 2 else 0
+            if terms > EXHAUSTIVE_TERMS:
+                raise ValueError(
+                    f"{run} evaluates {terms} merge terms, more than the budget of "
+                    f"{EXHAUSTIVE_TERMS}"
+                )
         estimate = qm.group_defect_estimate(
             family,
             config,

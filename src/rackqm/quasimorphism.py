@@ -16,10 +16,11 @@ order); a ``Fraction`` is built only where a value leaves the module.
 
 Every defect estimate and every sampled check of the bounded 2-cochain
 ``phi(p) - phi(p <| q)`` is read off the junction where two reduced words
-meet: one pair at a time (:func:`_junction`), or, for the exhaustive group
-defect, one walk per g of the prefix tree of every h, which shares each merge
-term with all the h below it.  Re-summing whole words with :func:`rolli_qm`
-and :func:`rack_qm` gives the same values and is kept as the tests' oracle.
+meet, one pair at a time (:func:`_junction`).  The exhaustive group defect
+reads no pair at all: every junction term is a merge term of two factor
+values, so it takes the largest over each factor's pairs of values and counts
+the pairs in closed form.  Re-summing whole words with :func:`rolli_qm` and
+:func:`rack_qm` gives the same values and is kept as the tests' oracle.
 
 The homogeneous route is also provided: Brooks counting quasimorphisms on
 free-group words, numeric homogenization with certified interval arithmetic
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -47,8 +49,9 @@ from .free_product import (
 from .racks import GroupTable
 from .sampling import (
     SamplerConfig,
+    count_syllable_words,
     element_sampler,
-    enumerate_syllable_words,
+    enumerate_syllable_words,  # not called here; the benchmark's tracer patches it
     make_rng,
     sample_element,  # not called here either; the tracer patches both on this module
     sample_syllable_word,
@@ -456,19 +459,23 @@ def group_defect_estimate(
     """Max of ``|phi(g) + phi(h) - phi(gh)|`` over an exhaustive budget plus
     random samples.
 
-    The exhaustive part enumerates all pairs of alternating words whose
-    syllable counts sum to at most ``exhaustive_syllables`` with factor
-    values bounded by ``exhaustive_exponent``; the random part draws
-    ``config.samples`` extra pairs.  Each difference is read off the junction
-    of g and h (:func:`_junction`).  The result is a lower bound for the true
-    defect, reported with the first pair that reaches it: exhaustive pairs by
-    |g|, then |h|, then g and h in enumeration order; then the sampled pairs.
+    The exhaustive part covers all pairs of alternating words whose syllable
+    counts sum to at most ``exhaustive_syllables`` with factor values bounded
+    by ``exhaustive_exponent``; the random part draws ``config.samples`` extra
+    pairs, each read off the junction of g and h (:func:`_junction`).  The
+    result is a lower bound for the true defect, reported with the first pair
+    that reaches it: exhaustive pairs by |g|, then |h|, then g and h in
+    enumeration order; then the sampled pairs.
 
-    The words form one prefix tree, and a junction reads only the end of g
-    and the start of h.  So each g walks the tree from the root, reading g
-    from its end: into the child that cancels, past every other child of the
-    factor, which merges with one term for every h below it.  Of equal
-    terms, the subtree of lowest enumeration rank holds the first h.
+    The exhaustive part enumerates no word.  Past the syllables that cancel, a
+    junction is 0 or the merge term ``lambda(a) + lambda(b) - lambda(ab)`` of
+    a syllable a of g and b of h, two enumerated values of one factor; the
+    one-syllable pair (a, b) has that same term.  So the max is the largest
+    merge term over each factor's pairs of values (with a budget of at least
+    2), and its first pair has one syllable on each side: the (1, 1) block
+    comes first of the pairs with a junction, and only a strictly larger term
+    replaces the best.  ``checked`` counts the pairs from the words of each
+    length (:func:`count_syllable_words`).
     """
     parent = family.parent
     best = 0  # times the family's denominator, as every junction term
@@ -478,59 +485,34 @@ def group_defect_estimate(
     if exhaustive_syllables is not None:
         budget = exhaustive_syllables
         exponent = config.max_exponent if exhaustive_exponent is None else exhaustive_exponent
-        # nodes [syllable, parent, {syllable: child's index}], an index so that no cycle forms
-        nodes: list[list] = []
-        levels: dict[int, list] = {}  # nodes by depth
-        for word in enumerate_syllable_words(parent, budget, exponent):
-            depth = len(word)
-            level = levels.setdefault(depth, [])
-            if depth == budget > 0:  # only counted: no walk and no witness goes this deep
-                level.append(None)
-                continue
-            node = [None, None, {} if depth < budget - 1 else None]
-            if depth:  # the parent is the latest word one syllable shorter
-                node[0] = syllable = word.syllables[-1]
-                node[1] = up = levels[depth - 1][-1]
-                up[2][syllable] = len(nodes)
-            nodes.append(node)
-            level.append(node)
-        sizes = [len(level) for level in levels.values()]
-        checked += sum(m * n for lg, m in enumerate(sizes) for n in sizes[: budget - lg + 1])
-        rows = {}  # a -> (a^-1, its largest merge term, its first b); walks need budget 2
-        for f in parent.factors if budget > 1 else ():
-            lam, values = family.evaluators[f.factor], tuple(f.enumerate_values(exponent))
+        if budget < 0:
+            raise ValueError(f"--exhaustive must be at least 0, got {budget}")
+        if exponent < 0:
+            raise ValueError(f"--max-exponent must be at least 0, got {exponent}")
+        factors = [(f, tuple(f.enumerate_values(exponent))) for f in parent.factors]
+        words = list(islice(count_syllable_words(len(v) for _, v in factors), budget + 1))
+        up_to = list(accumulate(words))  # up_to[n]: the words of at most n syllables
+        checked += sum(w * up_to[budget - n] for n, w in enumerate(words))
+        found = None
+        for f, values in factors if budget > 1 else ():
+            lam = family.evaluators[f.factor]
             lams = [lam(b) for b in values]
             for a, la in zip(values, lams):
                 terms = [abs(la + lb - lam(f.multiply(a, b))) for b, lb in zip(values, lams)]
                 top = max(terms)  # the cancelling b's term is 0: lambda is odd
-                merge = values[terms.index(top)]
-                rows[f.factor, a] = ((f.factor, scale(a, -1)), top, (f.factor, merge))
-        found = None
-        for lg in range(1, len(levels)):
-            for lh in range(1, budget - lg + 1):
-                for g in levels[lg]:
-                    node, at, top = nodes[0], g, 0
-                    for k in range(min(lg, lh)):  # until g is used up or |h| is reached
-                        cancel, term, merge = rows[at[0]]
-                        if term > top or term == top > 0 and node[2][merge] < hit:
-                            top, hit, down = term, node[2][merge], lh - 1 - k
-                        node, at = nodes[node[2][cancel]], at[1]
-                    if top > best:
-                        best, found = top, (g, hit, down)
+                if top > best:  # its first b in values order is the witness's h
+                    best, found = top, (f.factor, a, values[terms.index(top)])
         if found:
-            def path(node: list) -> tuple:  # the syllables from the root down to a node
-                return path(node[1]) + (node[0],) if node[1] else ()
-            g, rank, down = found
-            for _ in range(down):  # down the first children: the first h below the merge
-                rank = next(iter(nodes[rank][2].values()))
-            witness = tuple(SyllableWord(path(n)).render(parent) for n in (g, nodes[rank]))
+            name, a, b = found
+            witness = tuple(SyllableWord(((name, v),)).render(parent) for v in (a, b))
 
-    draw = word_sampler(parent, make_rng(config), config.max_syllables, config.max_exponent)
-    for _ in range(config.samples):
-        g, h = draw(), draw()
-        merge = _junction(family, g.syllables, h.syllables.__getitem__, len(h))[0]
-        if merge is not None and abs(merge) > best:
-            best, witness = abs(merge), (g.render(parent), h.render(parent))
+    if config.samples:
+        draw = word_sampler(parent, make_rng(config), config.max_syllables, config.max_exponent)
+        for _ in range(config.samples):
+            g, h = draw(), draw()
+            merge = _junction(family, g.syllables, h.syllables.__getitem__, len(h))[0]
+            if merge is not None and abs(merge) > best:
+                best, witness = abs(merge), (g.render(parent), h.render(parent))
 
     return DefectEstimate(Fraction(best, family.denominator), witness, checked)
 

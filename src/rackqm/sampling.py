@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .free_product import FreeProductElement, FreeProductRack, SyllableWord
 
@@ -39,6 +39,7 @@ __all__ = [
     "sample_syllable_word",
     "sample_element",
     "enumerate_syllable_words",
+    "count_syllable_words",
 ]
 
 
@@ -193,3 +194,20 @@ def enumerate_syllable_words(
                 stack.append((word, iter(after[syllable[0]])))
 
     return words()
+
+
+def count_syllable_words(value_counts: Iterable[int]) -> Iterator[int]:
+    """The number of alternating words of each length 0, 1, 2, ... whose
+    factors take ``value_counts`` values each, in closed form: what
+    :func:`enumerate_syllable_words` yields per length, with no word built.
+
+    Endless; the caller stops it.  A word of length n + 1 that ends in factor
+    f is a word of length n that does not end in f, then one of f's values.
+    """
+    values = list(value_counts)
+    ending = values  # the words of the current length, by the factor they end in
+    yield 1
+    while True:
+        words = sum(ending)
+        yield words
+        ending = [v * (words - e) for v, e in zip(values, ending)]

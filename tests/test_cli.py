@@ -8,6 +8,7 @@ import pytest
 
 import rackqm
 from rackqm import cli, cochain
+from rackqm.adjoint import TrivialRackModel
 from rackqm.cli import main
 from rackqm.free_product import free_quandle, free_rack, trivial_product
 from rackqm.racks import dihedral_quandle, rack_to_dict, trivial_rack
@@ -332,9 +333,43 @@ def test_exhaustive_budget_admits_the_documented_runs():
     assert cli._exhaustive_size(free_rack(["a", "b"]), 6, 3) <= cli.EXHAUSTIVE_WORDS
 
 
+def test_qm_defect_refuses_exhaustive_runs_over_the_merge_term_budget(sign_family_file):
+    # about 380,000 words pass the word budget, but the search would evaluate
+    # 20^2 + 9260^2 merge terms: every pair of values of each factor
+    parent = trivial_product({"a": 1, "b": 3})
+    assert cli._exhaustive_size(parent, 2, 10) <= cli.EXHAUSTIVE_WORDS
+    assert cli._merge_terms(parent, 10) == 20**2 + 9260**2 > cli.EXHAUSTIVE_TERMS
+    result = run_cli(
+        "qm", "defect", sign_family_file, "--sizes", "a=1,b=3", "--group", "--samples", "0",
+        "--exhaustive", "2", "--max-exponent", "10",
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: --exhaustive"), result.stderr
+    assert result.stdout == ""
+
+
+def test_merge_term_budget_is_checked_before_any_enumeration(sign_family_file, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(cli.qm, "group_defect_estimate", refuse)
+    monkeypatch.setattr(TrivialRackModel, "enumerate_values", refuse)
+    argv = ["qm", "defect", sign_family_file, "--sizes", "a=1,b=3", "--group", "--samples", "0",
+            "--exhaustive", "2", "--max-exponent", "10"]
+    assert main(argv) == 2
+    # one syllable has no pair to merge, so the same exponent is admitted there
+    monkeypatch.undo()
+    assert main([*argv[:-3], "1", "--max-exponent", "10"]) == 0
+
+
+def test_merge_term_budget_admits_the_documented_run():
+    # README's two-syllable run on a=2,b=3: 120^2 + 1330^2 merge terms
+    assert cli._merge_terms(trivial_product({"a": 2, "b": 3}), 5) == 1_783_300
+    assert 1_783_300 <= cli.EXHAUSTIVE_TERMS
+
+
 def test_the_largest_exhaustive_run_the_budget_admits_finishes(sign_family_file):
-    # 524,285 words, 16,777,225 pairs: one walk of the word tree per g, not
-    # one junction per pair, keeps this inside the timeout
+    # 524,285 words, 16,777,225 pairs, counted in closed form
     result = run_cli(
         "qm", "defect", sign_family_file, "--group", "--exhaustive", "17",
         "--max-exponent", "1", "--samples", "0",

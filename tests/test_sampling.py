@@ -15,6 +15,8 @@ import subprocess
 import sys
 import textwrap
 import weakref
+from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -22,6 +24,7 @@ import rackqm
 from rackqm.adjoint import FreeRackFactorModel, _below
 from rackqm.free_product import SyllableWord, free_quandle, free_rack, trivial_product
 from rackqm.sampling import (
+    count_syllable_words,
     element_sampler,
     enumerate_syllable_words,
     sample_element,
@@ -291,3 +294,14 @@ def test_enumeration_keeps_the_order_of_the_recursive_generators(name):
         for max_syllables in range(4 if name != "T2*T3" or max_exponent < 2 else 3):
             words = list(enumerate_syllable_words(parent, max_syllables, max_exponent))
             assert words == list(recursive_enumeration(parent, max_syllables, max_exponent))
+
+
+@pytest.mark.parametrize("name", ENUMERATED)
+def test_word_counts_are_the_enumeration_s_lengths(name):
+    parent = ENUMERATED[name]
+    for max_exponent in (0, 1, 2):
+        counts = [len(list(f.enumerate_values(max_exponent))) for f in parent.factors]
+        max_syllables = 4 if name != "T2*T3" or max_exponent < 2 else 3
+        words = Counter(len(w) for w in enumerate_syllable_words(parent, max_syllables, max_exponent))
+        expected = [words[n] for n in range(max_syllables + 1)]
+        assert list(islice(count_syllable_words(counts), max_syllables + 1)) == expected

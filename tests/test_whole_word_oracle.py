@@ -6,8 +6,8 @@ read every difference off the junction where two reduced words meet.  The
 loops here re-sum whole words instead (``concat_words`` + ``rolli_qm`` on the
 group side, ``rack_op`` + ``rack_qm`` on the rack side), draw the same pairs
 in the same order, and must give equal results in every field.  The
-exhaustive group defect walks a prefix tree of its words; a second loop reads
-one ``_junction`` per pair instead.
+exhaustive group defect reads only the one-syllable pairs and counts the rest;
+a second loop reads one ``_junction`` per pair instead.
 
 ``independence_certificate`` and ``witness_growth_table`` evaluate each
 periodic witness ``(x, period^n)`` on one period; here ``rack_qm`` sums the
@@ -19,13 +19,14 @@ and the ``Fraction`` junction, increment and estimate loops they replaced,
 and asserts equal values, defects, witnesses and ``checked`` counts.
 """
 
+import time
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
 import rackqm.certify as certify_mod
-import rackqm.cli as cli
 import rackqm.quasimorphism as qm_mod
 from rackqm.adjoint import scale
 from rackqm.certify import independence_certificate
@@ -227,24 +228,65 @@ def test_tree_walk_matches_the_pairwise_junctions(name):
                 assert est == expected, (label, syllables, exponent, samples)
 
 
-def test_exhaustive_search_enumerates_once_through_the_module_global(monkeypatch):
+def exhaustive_pair_count(parent, syllables, exponent):
+    """The exhaustive pairs with |g| + |h| <= ``syllables``, counted on a real
+    enumeration of the words."""
+    by_length = Counter(len(w) for w in enumerate_syllable_words(parent, syllables, exponent))
+    return sum(
+        m * n for lg, m in by_length.items() for lh, n in by_length.items() if lg + lh <= syllables
+    )
+
+
+def test_exhaustive_search_enumerates_no_word(monkeypatch):
     # the benchmark's tracer counts words by patching this module global
-    calls, words = [], []
+    calls = []
 
     def counting(*args):
         calls.append(args)
-        for word in enumerate_syllable_words(*args):
-            words.append(word)
-            yield word
+        return enumerate_syllable_words(*args)
 
     monkeypatch.setattr(qm_mod, "enumerate_syllable_words", counting)
     parent = PARENTS["FR3"]
-    group_defect_estimate(sign_family(parent), SamplerConfig(samples=5), 4, 2)
-    assert calls == [(parent, 4, 2)]
-    values = sum(len(list(f.enumerate_values(2))) for f in parent.factors)
-    assert len(words) == cli._exhaustive_size(parent, 4, 2) - values
+    for syllables, exponent in ((0, 2), (1, 2), (4, 2), (3, 0), (5, 1)):
+        est = group_defect_estimate(sign_family(parent), SamplerConfig(samples=5), syllables, exponent)
+        assert est.checked == exhaustive_pair_count(parent, syllables, exponent) + 5
     group_defect_estimate(sign_family(parent), SamplerConfig(samples=5))
-    assert len(calls) == 1
+    assert calls == []
+
+
+def pair_count_by_factor_sequences(parent, syllables, exponent):
+    """The pairs with |g| + |h| <= ``syllables``: words counted by the factor
+    they end in, one predecessor factor at a time, and every (|g|, |h|) block
+    summed on its own."""
+    values = {f.factor: len(list(f.enumerate_values(exponent))) for f in parent.factors}
+    words, ending = [1], dict(values)
+    for _ in range(syllables):
+        words.append(sum(ending.values()))
+        ending = {
+            g: sum(ending[f] * values[g] for f in values if f != g) for g in values
+        }
+    return sum(
+        words[lg] * words[lh]
+        for lg in range(syllables + 1)
+        for lh in range(syllables + 1 - lg)
+    )
+
+
+@pytest.mark.parametrize("name", ["FR", "T2*T3", "FR3"])
+def test_the_one_syllable_pairs_decide_budgets_no_enumeration_reaches(name):
+    # a budget of 40 has more than 10^30 pairs: the max and witness come
+    # from the (1, 1) block, which a budget of 2 already checks pair by pair
+    parent = PARENTS[name]
+    config = SamplerConfig(samples=0)
+    for label in ("sign", "table"):
+        family = families(parent)[label]
+        start = time.perf_counter()
+        est = group_defect_estimate(family, config, 40, 3)
+        assert time.perf_counter() - start < 0.5, label
+        expected = pairwise_group_defect(family, config, 2, 3)
+        assert (est.max_defect, est.witness) == (expected.max_defect, expected.witness), label
+        assert est.checked == pair_count_by_factor_sequences(parent, 40, 3), label
+        assert est.checked > 10**30, label
 
 
 def test_group_defect_sees_merges():
