@@ -40,15 +40,13 @@ def main() -> None:
             "iota(+-1)": iota_family(parent, "a", 0, Sigma.indicator(1)),
             "iota(+-4)": iota_family(parent, "a", 0, Sigma.indicator(4)),
         }
-        # exhaustive pair enumeration is only tractable for rank-1 factors
-        exhaustive = args.exhaustive if all(f.rank == 1 for f in parent.factors) else None
         print(f"== {parent_name} ==")
         for fam_name, family in families.items():
             config = SamplerConfig(seed=args.seed, samples=args.samples)
             start = time.perf_counter()
             group = group_defect_estimate(
                 family, config,
-                exhaustive_syllables=exhaustive, exhaustive_exponent=2,
+                exhaustive_syllables=args.exhaustive, exhaustive_exponent=2,
             )
             rack = rack_defect_estimate(family, config)
             elapsed = time.perf_counter() - start

@@ -25,7 +25,7 @@ from .words import GroupWord, parse_word
 OK, INVARIANT_VIOLATED, INPUT_ERROR = 0, 1, 2
 
 HOMOGENIZE_LETTERS = 2**20  # letter budget of qm homogenize's pattern and of its longest power
-EXHAUSTIVE_WORDS = 10**6  # budget of factor values plus words qm defect --exhaustive enumerates
+EXHAUSTIVE_WORDS = 10**6  # budget of factor values --exhaustive enumerates plus words it counts
 EXHAUSTIVE_TERMS = 4 * 10**6  # budget of the merge terms qm defect --exhaustive 2 and up evaluates
 CERTIFICATE_ENTRIES = 10**6  # budget of rank^2 matrix entries certify independence evaluates
 FACTOR_RANKS = 10**5  # budget of the summed factor ranks that --sizes asks for
@@ -124,13 +124,6 @@ def cmd_rack_components(args) -> int:
     return OK
 
 
-def _coboundary_rows(n: int, degree: int, quandle: bool) -> int:
-    """Rows of d^degree on n elements: the n^(degree+1) tuples, or in quandle
-    mode the n(n-1)^degree nondegenerate ones.  The columns of d^degree are
-    the rows of d^(degree-1), and d^0 has one column."""
-    return n * (n - 1 if quandle else n) ** degree
-
-
 def cmd_rack_cohomology(args) -> int:
     degree = args.degree
     if degree < 0:
@@ -145,7 +138,7 @@ def cmd_rack_cohomology(args) -> int:
             f"{cochain_mod.CAP.bit_length()} (the bit length of the cap {cochain_mod.CAP}) "
             "is refused on every rack"
         )
-    rows = _coboundary_rows(rack.size, degree, args.quandle)
+    rows = cochain_mod._coboundary_rows(rack.size, degree, args.quandle)
     # d^k needs a rank only where dim C^k exceeds the orbit lemma's m_k; for
     # k >= 1 that holds at every k if the rack has more elements than orbits
     # and at none if not, so the largest one ranked is d^degree
@@ -155,7 +148,7 @@ def cmd_rack_cohomology(args) -> int:
             f"{RANK_ROWS}"
         )
     if args.dump_matrix:
-        cols = _coboundary_rows(rack.size, degree - 1, args.quandle) if degree else 1
+        cols = cochain_mod._coboundary_rows(rack.size, degree - 1, args.quandle) if degree else 1
         if rows * cols > DUMP_ENTRIES:
             raise ValueError(
                 f"--dump-matrix prints d^{degree} as {rows} x {cols} entries, more than "
@@ -230,7 +223,7 @@ def cmd_qm_eval(args) -> int:
 
 
 def _value_counts(parent: fp.FreeProductRack, exponent: int) -> list[int]:
-    """The values of each factor that the exhaustive enumeration takes, in
+    """The values of each factor that the exhaustive search enumerates, in
     closed form; a count past ``EXHAUSTIVE_WORDS`` stops growing there."""
     counts = []  # a rank-r factor has every exponent vector in [-E, E]^r but 0
     for f in parent.factors:
@@ -244,9 +237,9 @@ def _value_counts(parent: fp.FreeProductRack, exponent: int) -> list[int]:
 
 
 def _exhaustive_size(parent: fp.FreeProductRack, syllables: int, exponent: int) -> int:
-    """The factor values plus alternating words of at most ``syllables``
-    syllables that the exhaustive enumeration builds, counted in closed form
-    and only until the count passes ``EXHAUSTIVE_WORDS``."""
+    """The factor values that the exhaustive search enumerates plus the
+    alternating words of at most ``syllables`` syllables that it counts, in
+    closed form and only until the total passes ``EXHAUSTIVE_WORDS``."""
     values = _value_counts(parent, exponent)
     total = sum(values)
     for words in islice(count_syllable_words(values), syllables + 1):
@@ -285,8 +278,8 @@ def cmd_qm_defect(args) -> int:
             run = f"--exhaustive {args.exhaustive} at --max-exponent {args.max_exponent}"
             if _exhaustive_size(parent, args.exhaustive, args.max_exponent) > EXHAUSTIVE_WORDS:
                 raise ValueError(
-                    f"{run} enumerates more than the budget of {EXHAUSTIVE_WORDS} "
-                    f"factor values and words"
+                    f"{run} takes more than the budget of {EXHAUSTIVE_WORDS} factor values "
+                    "enumerated plus words counted"
                 )
             # a budget below 2 syllables has no pair of syllables to merge
             terms = _merge_terms(parent, args.max_exponent) if args.exhaustive >= 2 else 0

@@ -99,12 +99,17 @@ def _check_degree(size: int, degree: int) -> None:
         raise CochainCapError(f"|X|^{degree + 1} with |X| = {size} exceeds the cap {CAP}")
 
 
+def _coboundary_rows(n: int, degree: int, quandle: bool) -> int:
+    """Rows of d^degree on n elements: the n^(degree+1) tuples, or in quandle
+    mode the n(n-1)^degree nondegenerate ones.  The columns of d^degree are
+    the rows of d^(degree-1), and d^0 has one column."""
+    return n * (n - 1 if quandle else n) ** degree
+
+
 def _check_cap(rack: FiniteRack, degree: int) -> None:
     _check_degree(rack.size, degree)
-    if rack.size ** (degree + 1) > CAP:
-        raise CochainCapError(
-            f"|X|^{degree + 1} = {rack.size ** (degree + 1)} exceeds the cap {CAP}"
-        )
+    if (rows := _coboundary_rows(rack.size, degree, False)) > CAP:
+        raise CochainCapError(f"|X|^{degree + 1} = {rows} exceeds the cap {CAP}")
 
 
 def _faces(rack: FiniteRack, degree: int, quandle: bool):
@@ -263,10 +268,8 @@ def cohomology_dims(rack: FiniteRack, max_degree: int, quandle_mode: bool = Fals
     dims = [1]
     rank_below = 0  # rank of d^(k-1)
     for k in range(1, max_degree + 1):
-        if quandle_mode:
-            cochains, bound = n * (n - 1) ** (k - 1), c * (c - 1) ** (k - 1)
-        else:
-            cochains, bound = n**k, c**k
+        cochains = _coboundary_rows(n, k - 1, quandle_mode)  # dim C^k, the columns of d^k
+        bound = _coboundary_rows(c, k - 1, quandle_mode)  # m_k: the same count over the orbits
         limit = cochains - rank_below - bound
         if limit < 0:
             raise RuntimeError(

@@ -490,9 +490,11 @@ def group_defect_estimate(
         if exponent < 0:
             raise ValueError(f"--max-exponent must be at least 0, got {exponent}")
         factors = [(f, tuple(f.enumerate_values(exponent))) for f in parent.factors]
+        # up_to[~n] is up_to[budget - n]: every factor has values at an exponent
+        # above 0, so the counts run to the budget, and at 0 they stop at length 0
         words = list(islice(count_syllable_words(len(v) for _, v in factors), budget + 1))
         up_to = list(accumulate(words))  # up_to[n]: the words of at most n syllables
-        checked += sum(w * up_to[budget - n] for n, w in enumerate(words))
+        checked += sum(w * up_to[~n] for n, w in enumerate(words))
         found = None
         for f, values in factors if budget > 1 else ():
             lam = family.evaluators[f.factor]

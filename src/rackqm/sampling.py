@@ -201,13 +201,13 @@ def count_syllable_words(value_counts: Iterable[int]) -> Iterator[int]:
     factors take ``value_counts`` values each, in closed form: what
     :func:`enumerate_syllable_words` yields per length, with no word built.
 
-    Endless; the caller stops it.  A word of length n + 1 that ends in factor
-    f is a word of length n that does not end in f, then one of f's values.
+    A word of length n + 1 that ends in factor f is a word of length n that
+    does not end in f, then one of f's values.  So the counts stop before the
+    first empty length; where two factors have values, the caller stops them.
     """
     values = list(value_counts)
     ending = values  # the words of the current length, by the factor they end in
     yield 1
-    while True:
-        words = sum(ending)
+    while words := sum(ending):
         yield words
         ending = [v * (words - e) for v, e in zip(values, ending)]

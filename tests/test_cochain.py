@@ -11,6 +11,7 @@ from rackqm import cochain
 from rackqm.cochain import (
     Coboundary,
     CochainCapError,
+    _coboundary_rows,
     _delta_rows,
     _dict_rows,
     _faces,
@@ -285,6 +286,18 @@ def test_entry_range_small_degrees():
 def test_delta_squared_zero_all_builtins():
     for rack in builtin_racks(max_size=6):
         assert coboundary_products_vanish(rack, up_to_degree=2)
+
+
+def test_row_count_is_the_rows_built():
+    # the count that sizes the cap, the dims and the CLI's rank and dump budgets
+    for rack in builtin_racks():
+        for quandle in (False, True) if rack.quandle else (False,):
+            build = quandle_coboundary if quandle else coboundary
+            for d in range(4 if rack.size == 6 else 5):
+                rows = _coboundary_rows(rack.size, d, quandle)
+                assert rows == len(_faces(rack, d, quandle)[0]), (rack.name, d, quandle)
+                if d:
+                    assert rows == len(build(rack, d).entries), (rack.name, d, quandle)
 
 
 def test_cap_guard(monkeypatch):

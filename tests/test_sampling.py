@@ -304,4 +304,7 @@ def test_word_counts_are_the_enumeration_s_lengths(name):
         max_syllables = 4 if name != "T2*T3" or max_exponent < 2 else 3
         words = Counter(len(w) for w in enumerate_syllable_words(parent, max_syllables, max_exponent))
         expected = [words[n] for n in range(max_syllables + 1)]
-        assert list(islice(count_syllable_words(counts), max_syllables + 1)) == expected
+        counted = list(islice(count_syllable_words(counts), max_syllables + 1))
+        # the counts stop before the first empty length: no longer word follows
+        assert all(counted)
+        assert counted + [0] * (max_syllables + 1 - len(counted)) == expected

@@ -64,6 +64,7 @@ from rackqm.quasimorphism import (
 )
 from rackqm.sampling import (
     SamplerConfig,
+    count_syllable_words,
     enumerate_syllable_words,
     make_rng,
     sample_element,
@@ -287,6 +288,22 @@ def test_the_one_syllable_pairs_decide_budgets_no_enumeration_reaches(name):
         assert (est.max_defect, est.witness) == (expected.max_defect, expected.witness), label
         assert est.checked == pair_count_by_factor_sequences(parent, 40, 3), label
         assert est.checked > 10**30, label
+
+
+def test_exhaustive_count_stops_at_the_first_empty_length(monkeypatch):
+    # at exponent 0 no factor has a value, so no word is longer than 0
+    # syllables, whatever the budget
+    read = []
+
+    def counting(value_counts):
+        for words in count_syllable_words(value_counts):
+            read.append(words)
+            yield words
+
+    monkeypatch.setattr(qm_mod, "count_syllable_words", counting)
+    est = group_defect_estimate(sign_family(PARENTS["FR"]), SamplerConfig(samples=0), 10**6, 0)
+    assert est.checked == 1
+    assert len(read) <= 2
 
 
 def test_group_defect_sees_merges():
