@@ -27,7 +27,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=20_000)
     parser.add_argument("--exhaustive", type=int, default=4,
-                        help="exhaustive pair budget in syllables")
+                        help="exhaustive group defect syllable budget")
     args = parser.parse_args()
 
     parents = {

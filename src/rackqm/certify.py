@@ -5,10 +5,13 @@ indicators ``sigma_i = indicator(+-i)`` and evaluates the induced rack
 quasimorphisms on k witness elements ``w_j(n) = (x, (e_{x0}^j e_x)^n)``.
 The period's two syllables are non-identity values in different factors,
 the first outside x's, so ``period^n`` is the reduced tail and each entry is
-``phi_i(w_j(n)) / n = rolli_qm(family_i, period_j)`` exactly.  That matrix
-is the k x k identity, so any nontrivial linear combination of the k families
-stays unbounded (slope ``|c_j|`` on witness j), which pins down k independent
-coboundary classes.
+``phi_i(w_j(n)) / n = rolli_qm(family_i, period_j)`` exactly.
+Support lemma: family i's sigma is the indicator of +-i with tail 0, so the
+family is zero off ``e_{x0}^{+-i}``, its one probe and that probe's inverse.
+The matrix is read off one index of those values (k evaluator calls) instead
+of k^2 ``rolli_qm`` sums, k^2 - k of them 0.  It is the k x k identity, so
+any nontrivial linear combination of the k families stays unbounded (slope
+``|c_j|`` on witness j), which pins down k independent coboundary classes.
 The whole object is emitted as JSON, each family in the schema that
 :func:`~rackqm.quasimorphism.family_from_dict` loads, so third parties can
 re-evaluate it.
@@ -27,11 +30,9 @@ from .linalg import exact_rank
 from .quasimorphism import (
     LambdaFamily,
     Sigma,
-    _scaled,
     family_to_dict,
     find_unboundedness_witness,
     iota_family,
-    rolli_qm,
     witness_growth_table,
 )
 
@@ -100,14 +101,33 @@ def independence_certificate(
     periods = tuple(
         SyllableWord(((s0, scale(e_x0, j)), (t, e_x))) for j in range(1, rank + 1)
     )
-    matrix = tuple(tuple(rolli_qm(fam, period) for period in periods) for fam in families)
-    verdict = exact_rank(  # each row in integer units of its family's denominator
-        [{j: _scaled(v, fam.denominator) for j, v in enumerate(row)}
-         for fam, row in zip(families, matrix)]
-    )
+    index = _support_index(families)
+    rows: list[dict[int, int]] = [{} for _ in families]  # nonzero D_i * matrix[i][j]
+    for j, period in enumerate(periods):
+        for syllable in period.syllables:
+            for i, v in index.get(syllable, ()):
+                rows[i][j] = rows[i].get(j, 0) + v
+    zero, matrix = Fraction(0), []  # zero: every entry that no syllable hits
+    for fam, row in zip(families, rows):
+        dense = [zero] * rank
+        for j, v in row.items():
+            dense[j] = Fraction(v, fam.denominator)
+        matrix.append(tuple(dense))
+    verdict = exact_rank(rows)  # each row in integer units of its family's denominator
     return IndependenceCertificate(
-        rank, exponent, families, (t, x), periods, matrix, verdict
+        rank, exponent, families, (t, x), periods, tuple(matrix), verdict
     )
+
+
+def _support_index(families: Sequence[LambdaFamily]) -> dict[tuple, list[tuple[int, int]]]:
+    """``(factor, value) -> [(i, D_i * lambda_i(value)), ...]`` off the probes."""
+    index: dict[tuple, list[tuple[int, int]]] = {}
+    for i, fam in enumerate(families):
+        for factor, word in fam.probes():
+            v = fam.evaluators[factor](word)
+            index.setdefault((factor, word), []).append((i, v))
+            index.setdefault((factor, scale(word, -1)), []).append((i, -v))
+    return index
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ OK, INVARIANT_VIOLATED, INPUT_ERROR = 0, 1, 2
 HOMOGENIZE_LETTERS = 2**20  # letter budget of qm homogenize's pattern and of its longest power
 EXHAUSTIVE_WORDS = 10**6  # budget of factor values --exhaustive enumerates plus words it counts
 EXHAUSTIVE_TERMS = 4 * 10**6  # budget of the merge terms qm defect --exhaustive 2 and up evaluates
-CERTIFICATE_ENTRIES = 10**6  # budget of rank^2 matrix entries certify independence evaluates
+CERTIFICATE_ENTRIES = 10**6  # budget of the rank^2 matrix entries certify independence prints
 FACTOR_RANKS = 10**5  # budget of the summed factor ranks that --sizes asks for
 SAMPLED_EXPONENTS = 10**7  # budget of the exponents qm defect's sampled pairs may draw
 HOMOGENIZE_SAMPLES = 10**5  # budget of the pairs qm homogenize samples to check its bound
@@ -148,7 +148,7 @@ def cmd_rack_cohomology(args) -> int:
             f"{RANK_ROWS}"
         )
     if args.dump_matrix:
-        cols = cochain_mod._coboundary_rows(rack.size, degree - 1, args.quandle) if degree else 1
+        cols = cochain_mod._coboundary_rows(rack.size, degree - 1, args.quandle)
         if rows * cols > DUMP_ENTRIES:
             raise ValueError(
                 f"--dump-matrix prints d^{degree} as {rows} x {cols} entries, more than "
@@ -264,7 +264,7 @@ def _sampled_exponents(parent: fp.FreeProductRack, config: SamplerConfig) -> int
 
 def cmd_qm_defect(args) -> int:
     if args.exhaustive is not None and not args.group:
-        raise ValueError("--exhaustive enumerates group pairs; pass --group with it")
+        raise ValueError("--exhaustive bounds the group defect's syllables; pass --group with it")
     parent, family = _load_family(args, args.family)
     config = _sampler(args)
     if (draws := _sampled_exponents(parent, config)) > SAMPLED_EXPONENTS:
@@ -434,7 +434,7 @@ def cmd_qm_v0dim(args) -> int:
 def cmd_certify_independence(args) -> int:
     if args.rank * args.rank > CERTIFICATE_ENTRIES:
         raise ValueError(
-            f"--rank {args.rank} evaluates {args.rank * args.rank} matrix entries, more than "
+            f"--rank {args.rank} prints {args.rank * args.rank} matrix entries, more than "
             f"the budget of {CERTIFICATE_ENTRIES}"
         )
     parent = build_parent(args, ("a", "b"))
@@ -512,7 +512,7 @@ def make_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--group", action="store_true")
     group.add_argument("--rack", action="store_true")
-    p.add_argument("--exhaustive", type=int, help="exhaustive pair budget (syllables)")
+    p.add_argument("--exhaustive", type=int, help="exhaustive group defect syllable budget")
     p.add_argument("--json", action="store_true")
     _add_parent_flags(p)
     _add_sampler_flags(p)

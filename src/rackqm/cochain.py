@@ -102,8 +102,8 @@ def _check_degree(size: int, degree: int) -> None:
 def _coboundary_rows(n: int, degree: int, quandle: bool) -> int:
     """Rows of d^degree on n elements: the n^(degree+1) tuples, or in quandle
     mode the n(n-1)^degree nondegenerate ones.  The columns of d^degree are
-    the rows of d^(degree-1), and d^0 has one column."""
-    return n * (n - 1 if quandle else n) ** degree
+    the rows of d^(degree-1), so degree -1 gives d^0's one column."""
+    return n * (n - 1 if quandle else n) ** degree if degree >= 0 else 1
 
 
 def _check_cap(rack: FiniteRack, degree: int) -> None:

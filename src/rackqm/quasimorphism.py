@@ -661,7 +661,7 @@ def witness_growth_table(
     if any(n < 0 for n in ns):
         raise ValueError("witness exponent must be nonnegative")
     step = rolli_qm(family, witness.period())
-    return {n: n * step for n in ns}
+    return {n: Fraction(n * step.numerator, step.denominator) for n in ns}
 
 
 # -- homogeneous quasimorphisms on free-group words ----------------------------

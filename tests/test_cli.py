@@ -283,7 +283,7 @@ def test_factors_and_sizes_together_exit_2(sign_family_file, capsys):
 
 @pytest.mark.parametrize("mode", [(), ("--rack",)])
 def test_qm_defect_rejects_exhaustive_without_group(sign_family_file, mode):
-    # --exhaustive enumerates group pairs; the rack estimate used to ignore it
+    # --exhaustive bounds the group defect's syllables; the rack estimate used to ignore it
     result = run_cli("qm", "defect", sign_family_file, *mode, "--exhaustive", "3", "--samples", "5")
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: --exhaustive"), result.stderr
