@@ -102,7 +102,7 @@ def independence_certificate(
         SyllableWord(((s0, scale(e_x0, j)), (t, e_x))) for j in range(1, rank + 1)
     )
     index = _support_index(families)
-    rows: list[dict[int, int]] = [{} for _ in families]  # nonzero D_i * matrix[i][j]
+    rows: list[dict[int, int]] = [{} for _ in families]  # j -> D_i * matrix[i][j] where hit
     for j, period in enumerate(periods):
         for syllable in period.syllables:
             for i, v in index.get(syllable, ()):

@@ -300,6 +300,13 @@ def test_row_count_is_the_rows_built():
                     assert rows == len(build(rack, d).entries), (rack.name, d, quandle)
 
 
+def test_row_count_below_degree_0_is_d0_s_one_column():
+    for n in range(1, 7):
+        for quandle in (False, True):
+            rows = _coboundary_rows(n, -1, quandle)
+            assert rows == 1 and type(rows) is int, (n, quandle, rows)
+
+
 def test_cap_guard(monkeypatch):
     monkeypatch.setattr(cochain, "CAP", 100)
     with pytest.raises(CochainCapError):

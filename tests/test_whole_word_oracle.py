@@ -11,7 +11,9 @@ a second loop reads one ``_junction`` per pair instead.
 
 ``independence_certificate`` and ``witness_growth_table`` evaluate each
 periodic witness ``(x, period^n)`` on one period; here ``rack_qm`` sums the
-whole n-fold tail, reduced from scratch, instead.
+whole n-fold tail, reduced from scratch, instead.  The certificate reads each
+period off an index of the families' supports; the k^2 ``rolli_qm`` sums it
+replaced are kept as its oracle.
 
 Every lambda family evaluates through integer numerators over one common
 denominator.  The last section keeps the per-component ``Fraction`` values
@@ -38,6 +40,7 @@ from rackqm.free_product import (
     reduce_element,
     trivial_product,
 )
+from rackqm.linalg import exact_rank
 from rackqm.quasimorphism import (
     Bounded2CocycleReport,
     DefectEstimate,
@@ -375,6 +378,86 @@ def test_certificate_matrix_matches_whole_tails(name, n):
         assert cert.matrix == tuple(
             tuple(rack_qm(fam, w) / n for w in witnesses) for fam in cert.families
         )
+
+
+def rolli_certificate(cert):
+    """The k^2 ``rolli_qm`` matrix and its rank, as every pair used to be evaluated."""
+    matrix = tuple(tuple(rolli_qm(fam, period) for period in cert.periods) for fam in cert.families)
+    rows = [{j: int(v * fam.denominator) for j, v in enumerate(row)}
+            for fam, row in zip(cert.families, matrix)]
+    return matrix, exact_rank(rows)
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+@pytest.mark.parametrize("n", [1, 10**9])
+def test_indexed_certificate_matches_the_rolli_matrix(name, n):
+    for rank in range(1, 65):
+        cert = independence_certificate(CERTIFIED[name], rank, n)
+        assert (cert.matrix, cert.verdict) == rolli_certificate(cert), rank
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_support_index_is_complete(name):
+    # on pure powers of both factors' base generators, each family's evaluator
+    # is nonzero exactly where the index holds an entry for that family
+    parent = CERTIFIED[name]
+    for rank in (1, 2, 5):
+        families = independence_certificate(parent, rank, 1).families
+        index = certify_mod._support_index(families)
+        powers = {
+            (factor, scale(parent.model(factor).embed(0), m))
+            for factor in parent.factor_names
+            for m in range(-rank - 2, rank + 3)
+            if m
+        }
+        assert set(index) <= powers
+        for i, fam in enumerate(families):
+            for factor, word in powers:
+                value = fam.evaluators[factor](word)
+                entries = dict(index.get((factor, word), ()))
+                assert entries.get(i, 0) == value, (rank, i, factor, word)
+
+
+def test_certificate_calls_no_rolli_qm_and_each_evaluator_once(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rolli_qm called")
+
+    calls = Counter()
+
+    def counted_family(*args):
+        family = iota_family(*args)
+        for factor, evaluate in family.evaluators.items():
+            def counted(word, evaluate=evaluate, key=(id(family), factor)):
+                calls[key] += 1
+                return evaluate(word)
+
+            family.evaluators[factor] = counted
+        return family
+
+    monkeypatch.setattr(qm_mod, "rolli_qm", refuse)
+    monkeypatch.setattr(certify_mod, "rolli_qm", refuse, raising=False)
+    monkeypatch.setattr(certify_mod, "iota_family", counted_family)
+    for parent in CERTIFIED.values():
+        calls.clear()
+        cert = independence_certificate(parent, 64, 10**9)
+        assert cert.verdict == 64
+        per_family = Counter()
+        for (family_id, _), count in calls.items():
+            per_family[family_id] += count
+        assert sorted(per_family) == sorted(id(fam) for fam in cert.families)
+        assert max(per_family.values()) <= 2  # one probe each, not one call per period
+
+
+def test_growth_table_is_exact_and_normalised():
+    family = iota_family(PARENTS["FR"], "a", 0, Sigma.indicator(1, Fraction(3, 2)))
+    witness = find_unboundedness_witness(family)
+    step = rolli_qm(family, witness.period())
+    assert step == Fraction(3, 2)
+    ns = [0, 1, 2, 7, 10**9]
+    table = witness_growth_table(family, witness, ns)
+    assert table == {n: n * step for n in ns}
+    assert all(type(v) is Fraction for v in table.values())  # == compares normalised terms
+    assert (table[2].numerator, table[2].denominator) == (3, 1)
 
 
 @pytest.mark.parametrize("name", CERTIFIED)
