@@ -70,7 +70,8 @@ class IndependenceCertificate:
                 }
                 for j, period in enumerate(self.periods, 1)
             ],
-            "matrix": [[str(v) for v in row] for row in self.matrix],
+            # one shared "0" for the zero entries, nearly all of the k^2
+            "matrix": [[str(v) if v else "0" for v in row] for row in self.matrix],
             "verdict": self.verdict,
         }
 

@@ -288,12 +288,7 @@ def cmd_qm_defect(args) -> int:
                     f"{run} evaluates {terms} merge terms, more than the budget of "
                     f"{EXHAUSTIVE_TERMS}"
                 )
-        estimate = qm.group_defect_estimate(
-            family,
-            config,
-            exhaustive_syllables=args.exhaustive,
-            exhaustive_exponent=args.max_exponent,
-        )
+        estimate = qm.group_defect_estimate(family, config, exhaustive_syllables=args.exhaustive)
         bound = 3 * family.bound
         mode = "group"
     else:
@@ -383,18 +378,15 @@ def cmd_qm_homogenize(args) -> int:
         g = _random_group_word(rng, alphabet, 6, 3)
         h = _random_group_word(rng, alphabet, 6, 3)
         observed = max(observed, abs(Fraction(phi(g)) + phi(h) - phi(g * h)))
-    try:
-        estimates = qm.homogenize_doubling(
-            phi,
-            target,
-            defect_bound,
-            doublings=args.doublings,
-            tolerance=tolerance,
-            observed_defect=observed,
+    if defect_bound < observed:
+        print(
+            f"inconsistent input: declared defect bound {defect_bound} is below the "
+            f"observed defect {observed}"
         )
-    except qm.QmError as exc:
-        print(f"inconsistent input: {exc}")
         return INVARIANT_VIOLATED
+    estimates = qm.homogenize_doubling(
+        phi, target, defect_bound, doublings=args.doublings, tolerance=tolerance
+    )
     for est in estimates:
         print(
             f"N = {est.exponent}: center {est.center}, radius {est.radius}"

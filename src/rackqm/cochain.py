@@ -288,10 +288,10 @@ def cohomology_dims(rack: FiniteRack, max_degree: int, quandle_mode: bool = Fals
     return dims
 
 
-def coboundary_products_vanish(rack: FiniteRack, up_to_degree: int = 2) -> bool:
-    """``d^(n+1) . d^n = 0`` as exact integer matrix products, n <= up_to_degree."""
+def coboundary_products_vanish(rack: FiniteRack) -> bool:
+    """``d^(n+1) . d^n = 0`` as exact integer matrix products, n <= 2."""
     below = coboundary(rack, 0)
-    for n in range(up_to_degree + 1):
+    for n in range(3):
         above = coboundary(rack, n + 1)
         if any(sparse_matmul(above.entries, below.entries)):
             return False

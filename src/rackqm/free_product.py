@@ -154,9 +154,6 @@ class SyllableWord:
     def __len__(self) -> int:
         return len(self.syllables)
 
-    def __iter__(self):
-        return iter(self.syllables)
-
     def render(self, parent: FreeProductRack) -> str:
         return " ".join(
             render_value(parent.model(name), v) for name, v in self.syllables if any(v)

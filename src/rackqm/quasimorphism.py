@@ -718,24 +718,17 @@ def homogenize(
     g: GroupWord,
     defect_bound: Fraction | int | str,
     exponent: int,
-    observed_defect: Fraction | None = None,
 ) -> HomogeneousEstimate:
     """One homogenization step at ``N = exponent``.
 
     ``defect_bound`` must be a certified upper bound for the defect of phi,
-    supplied by the caller (this library only certifies lower bounds); when
-    an observed lower bound is passed it is checked for consistency.
+    supplied by the caller (this library only certifies lower bounds).
     """
     if exponent < 1:
         raise QmError("homogenization exponent must be positive")
     bound = parse_fraction(defect_bound)
     if bound < 0:
         raise QmError("defect bound must be nonnegative")
-    if observed_defect is not None and bound < observed_defect:
-        raise QmError(
-            f"declared defect bound {bound} is below the observed defect "
-            f"{observed_defect}"
-        )
     center = Fraction(phi(g**exponent)) / exponent
     return HomogeneousEstimate(center, bound / exponent, exponent, bound)
 
@@ -746,13 +739,12 @@ def homogenize_doubling(
     defect_bound: Fraction | int | str,
     doublings: int = 10,
     tolerance: Fraction | None = None,
-    observed_defect: Fraction | None = None,
 ) -> list[HomogeneousEstimate]:
     """Estimates at N = 1, 2, 4, ..., 2**doublings, stopping early once the
     radius drops below ``tolerance``."""
     estimates = []
     for k in range(doublings + 1):
-        est = homogenize(phi, g, defect_bound, 2**k, observed_defect=observed_defect)
+        est = homogenize(phi, g, defect_bound, 2**k)
         estimates.append(est)
         if tolerance is not None and est.radius < tolerance:
             break

@@ -146,16 +146,16 @@ def validate_rack(
     )
 
 
-def trivial_rack(n: int, name: str | None = None) -> FiniteRack:
+def trivial_rack(n: int) -> FiniteRack:
     """The trivial rack ``x <| y = x`` on n elements (always a quandle)."""
     table = [[i] * n for i in range(n)]
-    return validate_rack(table, name=name or f"T{n}")
+    return validate_rack(table, name=f"T{n}")
 
 
-def dihedral_quandle(n: int, name: str | None = None) -> FiniteRack:
+def dihedral_quandle(n: int) -> FiniteRack:
     """The dihedral quandle on Z/n: ``x <| y = 2y - x (mod n)``."""
     table = [[(2 * j - i) % n for j in range(n)] for i in range(n)]
-    return validate_rack(table, name=name or f"R{n}")
+    return validate_rack(table, name=f"R{n}")
 
 
 @dataclass(frozen=True)
@@ -244,14 +244,14 @@ def symmetric_group(n: int) -> GroupTable:
     return validate_group(table, elements=labels, name=f"S{n}")
 
 
-def conjugation_rack(group: GroupTable, name: str | None = None) -> FiniteRack:
+def conjugation_rack(group: GroupTable) -> FiniteRack:
     """The conjugacy rack of a group: ``g <| h = h^-1 g h`` (always a quandle)."""
     n = group.size
     table = [
         [group.mul(group.mul(group.inverse[h], g), h) for h in range(n)]
         for g in range(n)
     ]
-    return validate_rack(table, elements=group.elements, name=name or f"Conj({group.name})")
+    return validate_rack(table, elements=group.elements, name=f"Conj({group.name})")
 
 
 @dataclass(frozen=True)

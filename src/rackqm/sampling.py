@@ -70,21 +70,18 @@ def word_sampler(
     rng: random.Random,
     max_syllables: int,
     max_exponent: int,
-    avoid_leading: str | None = None,
-) -> Callable[[], SyllableWord]:
+) -> Callable[..., SyllableWord]:
     """A closure that draws random alternating words of up to
-    ``max_syllables`` syllables; ``avoid_leading`` (a factor of ``parent``)
-    keeps the first syllable out of that factor.
+    ``max_syllables`` syllables.
 
-    Every argument is checked here, before any draw.  The closure also takes
-    the factor to avoid as an optional argument, which is how
-    :func:`element_sampler` draws a tail after its base.
+    Every argument is checked here, before any draw.  The closure takes an
+    optional factor of ``parent`` and keeps the first syllable out of it;
+    that argument is the one way to keep a factor out of the lead, and it is
+    how :func:`element_sampler` draws a tail after its base.
     """
     if max_syllables < 0:
         raise ValueError(f"max_syllables must be at least 0, got {max_syllables}")
     names = parent.factor_names
-    if avoid_leading is not None and avoid_leading not in names:
-        raise ValueError(f"avoid_leading must be None or a factor, got {avoid_leading!r}")
     # prev -> (count, bit length, options): the factors a syllable may take
     # after one of factor prev (after None: every factor), in order
     successors = {}
@@ -95,7 +92,7 @@ def word_sampler(
     values = {f.factor: f.value_sampler(getrandbits, max_exponent) for f in parent.factors}
     k = (max_syllables + 1).bit_length()
 
-    def draw(previous: str | None = avoid_leading) -> SyllableWord:
+    def draw(previous: str | None = None) -> SyllableWord:
         length = getrandbits(k)
         while length > max_syllables:
             length = getrandbits(k)
@@ -142,10 +139,9 @@ def sample_syllable_word(
     rng: random.Random,
     max_syllables: int,
     max_exponent: int,
-    avoid_leading: str | None = None,
 ) -> SyllableWord:
     """One draw of a fresh :func:`word_sampler`; see :func:`sample_element`."""
-    return word_sampler(parent, rng, max_syllables, max_exponent, avoid_leading)()
+    return word_sampler(parent, rng, max_syllables, max_exponent)()
 
 
 # not called in the library; the benchmark's rack_defect check calls it

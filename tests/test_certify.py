@@ -90,6 +90,20 @@ def test_certificate_json_schema():
 
 
 @pytest.mark.parametrize("parent", [FR, FQ, T23], ids=["FR", "FQ", "T2*T3"])
+def test_certificate_record_spells_entries_with_one_shared_zero(parent):
+    # the record's entries are str of the matrix's, and every zero entry is
+    # the one "0" object, so a rank-1000 record holds no 10^6 copies of it
+    for rank in (*range(1, 65), 1000):
+        cert = independence_certificate(parent, rank, 1000)
+        matrix = cert.to_dict()["matrix"]
+        assert matrix == [[str(v) for v in row] for row in cert.matrix]
+        zeros = {
+            id(t) for texts, row in zip(matrix, cert.matrix) for t, v in zip(texts, row) if not v
+        }
+        assert len(zeros) == (rank > 1)
+
+
+@pytest.mark.parametrize("parent", [FR, FQ, T23], ids=["FR", "FQ", "T2*T3"])
 def test_certificate_round_trips(parent):
     data = json.loads(json.dumps(independence_certificate(parent, 3, 10).to_dict()))
     n = data["n"]

@@ -596,6 +596,9 @@ def test_qm_homogenize_rejects_low_bound(capsys):
         )
         == 1
     )
+    assert capsys.readouterr().out == (
+        "inconsistent input: declared defect bound 0 is below the observed defect 1\n"
+    )
 
 
 def test_qm_v0dim(tmp_path, capsys):

@@ -285,7 +285,7 @@ def test_entry_range_small_degrees():
 
 def test_delta_squared_zero_all_builtins():
     for rack in builtin_racks(max_size=6):
-        assert coboundary_products_vanish(rack, up_to_degree=2)
+        assert coboundary_products_vanish(rack)
 
 
 def test_row_count_is_the_rows_built():

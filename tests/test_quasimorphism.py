@@ -45,6 +45,7 @@ from rackqm.sampling import (
     make_rng,
     sample_element,
     sample_syllable_word,
+    word_sampler,
 )
 from rackqm.words import AbelianWord, GroupWord, parse_word
 
@@ -412,14 +413,6 @@ def test_homogenize_doubling_intervals_intersect():
 
 def test_homogenize_rejects_inconsistent_bound():
     with pytest.raises(QmError):
-        homogenize(
-            brooks(parse_word("a b")),
-            parse_word("a b"),
-            "1/2",
-            4,
-            observed_defect=Fraction(1),
-        )
-    with pytest.raises(QmError):
         homogenize(GroupWord.exponent_sum, parse_word("a"), "-1", 4)
 
 
@@ -442,8 +435,9 @@ def test_homogeneous_rack_qm_exponent_sum():
 
 def test_homogeneous_rack_qm_respects_powers():
     rng = make_rng(SamplerConfig(seed=21))
+    draw = word_sampler(FR, rng, 4, 3)
     for _ in range(100):
-        g = sample_syllable_word(FR, rng, 4, 3, avoid_leading="b")
+        g = draw("b")
         n = rng.randint(1, 100)
         tail = SyllableWord(g.syllables * n)
         from rackqm.free_product import reduce_element

@@ -190,31 +190,29 @@ def test_three_factor_words_replay_randint_and_choice(name, avoid):
     parent = THREE_FACTORS[name]
     for seed in range(10):
         built, once, ref = random.Random(seed), random.Random(seed), random.Random(seed)
-        draw = word_sampler(parent, built, 5, 2, avoid_leading=avoid)
+        draw = word_sampler(parent, built, 5, 2)
         for _ in range(30):
             expected = _reference_word(parent, ref, 5, 2, avoid)
-            assert draw().syllables == expected
-            assert sample_syllable_word(parent, once, 5, 2, avoid).syllables == expected
+            assert draw(avoid).syllables == expected
+            assert word_sampler(parent, once, 5, 2)(avoid).syllables == expected
             assert built.getstate() == once.getstate() == ref.getstate()
 
 
 def test_one_shot_draws_follow_their_parent_generator_and_shape():
     # a one-shot draw is a fresh build and one draw, so it equals a fresh
-    # build's draw on the same generator whatever parent, generator, shape or
-    # avoided factor the draw before it used
+    # build's draw on the same generator whatever parent, generator or shape
+    # the draw before it used
     parents = [PARENTS["T2*T3"], THREE_FACTORS["FR3"]]
     mine, ref = [random.Random(1), random.Random(2)], [random.Random(1), random.Random(2)]
     # (parent, generator) indices: each step changes one of the two, and the
     # shape changes alone between the last step and the first
     steps = [(1, 0), (1, 1), (0, 1), (0, 0), (1, 0)]
     for i in range(40):
-        shape, avoid = SHAPES[i % len(SHAPES)], (None, "a", "b")[i % 3]
+        shape = SHAPES[i % len(SHAPES)]
         for p, g in steps:
             parent, rng, twin = parents[p], mine[g], ref[g]
             assert sample_element(parent, rng, *shape) == element_sampler(parent, twin, *shape)()
-            assert sample_syllable_word(parent, rng, *shape, avoid) == word_sampler(
-                parent, twin, *shape, avoid
-            )()
+            assert sample_syllable_word(parent, rng, *shape) == word_sampler(parent, twin, *shape)()
         assert [r.getstate() for r in mine] == [r.getstate() for r in ref]
 
 
@@ -246,8 +244,6 @@ def test_one_shot_draws_keep_nothing_alive():
 
 
 BAD_ARGUMENTS = [  # (the argument the error must name, a call on a generator)
-    ("avoid_leading", lambda rng: sample_syllable_word(PARENTS["FR"], rng, 2, 3, "zz")),
-    ("avoid_leading", lambda rng: word_sampler(PARENTS["T2*T3"], rng, 2, 3, "zz")),
     ("max_exponent", lambda rng: sample_element(PARENTS["FR"], rng, 3, 0)),
     ("max_exponent", lambda rng: sample_element(PARENTS["FR"], rng, 0, 0)),
     ("max_exponent", lambda rng: element_sampler(PARENTS["T2*T3"], rng, 3, 0)),

@@ -219,7 +219,7 @@ PAIRWISE_RUNS = {
 
 
 @pytest.mark.parametrize("name", PAIRWISE_RUNS)
-def test_tree_walk_matches_the_pairwise_junctions(name):
+def test_merge_rows_match_the_pairwise_junctions(name):
     parent = PARENTS[name]
     named = families(parent)
     for label in ("sign", "zero", "iota(1/3 tail)", "table"):
