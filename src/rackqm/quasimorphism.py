@@ -139,11 +139,11 @@ class Sigma:
         object.__setattr__(self, "tail", Fraction(self.tail))
 
     @staticmethod
-    def indicator(k: int, value: Fraction | int = 1) -> "Sigma":
-        """The odd indicator of +-k: sigma(k) = value, sigma(-k) = -value."""
+    def indicator(k: int) -> "Sigma":
+        """The odd indicator of +-k: sigma(+-k) = +-1, and 0 elsewhere."""
         if k <= 0:
             raise QmError("indicator argument must be positive")
-        return Sigma(((k, Fraction(value)),))
+        return Sigma(((k, Fraction(1)),))
 
     @property
     def cutoff(self) -> int:
@@ -318,7 +318,6 @@ class LambdaFamily:
         if unknown:
             raise QmError(f"components for unknown factors {sorted(unknown)}")
         self.components = tuple(by_factor[name] for name in parent.factor_names)
-        self._by_factor = by_factor
         self.denominator = lcm(*(comp.denominator for comp in self.components))
         self.evaluators: dict[str, Callable[[Value], int]] = {
             comp.factor: comp.evaluator(self.denominator) for comp in self.components
@@ -329,10 +328,10 @@ class LambdaFamily:
         return max(comp.bound for comp in self.components)
 
     def component(self, factor: str) -> Component:
-        try:
-            return self._by_factor[factor]
-        except KeyError:
-            raise QmError(f"no lambda component for factor {factor!r}")
+        for comp in self.components:
+            if comp.factor == factor:
+                return comp
+        raise QmError(f"no lambda component for factor {factor!r}")
 
     def value(self, factor: str, word: Value) -> Fraction:
         self.component(factor)  # an unknown factor raises QmError
@@ -696,12 +695,12 @@ def brooks(pattern: GroupWord) -> Callable[[GroupWord], int]:
 @dataclass(frozen=True)
 class HomogeneousEstimate:
     """``phi(g^N)/N`` with the interval radius ``defect_bound / N``; the
-    homogenization of phi at g lies inside whenever the bound is valid."""
+    homogenization of phi at g lies inside whenever the bound is valid, and
+    ``radius * exponent`` gives the bound back."""
 
     center: Fraction
     radius: Fraction
     exponent: int
-    defect_bound: Fraction
 
     @property
     def interval(self) -> tuple[Fraction, Fraction]:
@@ -719,10 +718,12 @@ def homogenize(
     defect_bound: Fraction | int | str,
     exponent: int,
 ) -> HomogeneousEstimate:
-    """One homogenization step at ``N = exponent``.
+    """One homogenization step at ``N = exponent``: the center
+    ``phi(g^N)/N`` and the radius ``defect_bound / N``.
 
     ``defect_bound`` must be a certified upper bound for the defect of phi,
-    supplied by the caller (this library only certifies lower bounds).
+    supplied by the caller (this library only certifies lower bounds); the
+    CLI checks it against a sampled observation before the first step.
     """
     if exponent < 1:
         raise QmError("homogenization exponent must be positive")
@@ -730,7 +731,7 @@ def homogenize(
     if bound < 0:
         raise QmError("defect bound must be nonnegative")
     center = Fraction(phi(g**exponent)) / exponent
-    return HomogeneousEstimate(center, bound / exponent, exponent, bound)
+    return HomogeneousEstimate(center, bound / exponent, exponent)
 
 
 def homogenize_doubling(
@@ -834,22 +835,15 @@ def family_from_dict(parent: FreeProductRack, data: Mapping) -> LambdaFamily:
         if kind == "sign":
             components.append(SignComponent(factor))
         elif kind == "iota":
-            sigma_data = entry.get("sigma")
-            if "indicator" in entry:
-                sigma = Sigma.indicator(
-                    _integer(entry["indicator"], "'indicator'"),
-                    parse_fraction(entry.get("value", 1)),
-                )
-            elif sigma_data is not None:
-                sigma = Sigma(
-                    tuple(
-                        (_integer(k, "a sigma argument"), parse_fraction(v))
-                        for k, v in _object(sigma_data, "'sigma'").items()
-                    ),
-                    tail=parse_fraction(entry.get("tail", 0)),
-                )
-            else:
-                raise QmError("iota component needs 'indicator' or 'sigma'")
+            if (sigma_data := entry.get("sigma")) is None:
+                raise QmError("iota component needs 'sigma'")
+            sigma = Sigma(
+                tuple(
+                    (_integer(k, "a sigma argument"), parse_fraction(v))
+                    for k, v in _object(sigma_data, "'sigma'").items()
+                ),
+                tail=parse_fraction(entry.get("tail", 0)),
+            )
             model = parent.model(factor)
             if "generator" in entry:
                 generator = entry["generator"]

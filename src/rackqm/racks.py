@@ -416,9 +416,10 @@ def load_group(path: str | Path) -> GroupTable:
         return group_from_dict(json.load(fh))
 
 
-def builtin_racks(max_size: int = 6) -> list[FiniteRack]:
-    """The stock test family: trivial racks, dihedral quandles, conjugacy racks."""
-    racks = [
+def builtin_racks() -> list[FiniteRack]:
+    """The stock test family: trivial racks, dihedral quandles, conjugacy
+    racks, every one of size at most 6."""
+    return [
         trivial_rack(1),
         trivial_rack(2),
         trivial_rack(3),
@@ -428,4 +429,3 @@ def builtin_racks(max_size: int = 6) -> list[FiniteRack]:
         conjugation_rack(cyclic_group(4)),
         conjugation_rack(symmetric_group(3)),
     ]
-    return [r for r in racks if r.size <= max_size]

@@ -77,7 +77,8 @@ def word_sampler(
     Every argument is checked here, before any draw.  The closure takes an
     optional factor of ``parent`` and keeps the first syllable out of it;
     that argument is the one way to keep a factor out of the lead, and it is
-    how :func:`element_sampler` draws a tail after its base.
+    how :func:`element_sampler` draws a tail after its base.  A factor that
+    is not ``parent``'s raises ``ValueError`` at the call, before any draw.
     """
     if max_syllables < 0:
         raise ValueError(f"max_syllables must be at least 0, got {max_syllables}")
@@ -93,6 +94,8 @@ def word_sampler(
     k = (max_syllables + 1).bit_length()
 
     def draw(previous: str | None = None) -> SyllableWord:
+        if previous not in successors:
+            raise ValueError(f"unknown factor {previous!r}")
         length = getrandbits(k)
         while length > max_syllables:
             length = getrandbits(k)

@@ -116,7 +116,7 @@ def test_criterion_04_independence_certificates():
 
 def test_criterion_05_cohomology_exactness():
     start = time.perf_counter()
-    racks = builtin_racks(max_size=6)
+    racks = builtin_racks()
     assert len(racks) >= 6
     for rack in racks:
         assert coboundary_products_vanish(rack)

@@ -148,7 +148,7 @@ def test_generator_text_is_spelled_by_generator_name(parent, tail, expected, mon
 
 
 def test_growth_report_sign_family():
-    report = boundedness_refutation(sign_family(FR), ns=(1, 10, 100))
+    report = boundedness_refutation(sign_family(FR))
     assert report.slope == 2
     assert report.table == {1: 2, 10: 20, 100: 200}
     assert report.component_count == 2
@@ -157,7 +157,7 @@ def test_growth_report_sign_family():
 
 def test_growth_report_iota_indicator():
     fam = iota_family(FR, "a", 0, Sigma.indicator(3))
-    report = boundedness_refutation(fam, ns=(1, 10))
+    report = boundedness_refutation(fam)
     assert report.slope == 1
     assert report.table[10] in (10, -10)
 
@@ -172,7 +172,7 @@ def test_growth_report_zero_family_raises():
 
 
 def test_growth_report_json():
-    report = boundedness_refutation(sign_family(FR), ns=(1, 10))
+    report = boundedness_refutation(sign_family(FR))
     data = report.to_dict()
     assert data["slope"] == "2"
     assert data["growth"]["10"] == "20"

@@ -298,6 +298,29 @@ def test_qm_defect_rejects_negative_exhaustive(sign_family_file):
 
 
 @pytest.mark.parametrize(
+    "budget, message",
+    [
+        (-2, "--exhaustive must be at least 0, got -2"),
+        (-3, "--exhaustive must be at least 0, got -3"),
+        (-10**30, f"--exhaustive must be at least 0, got {-10**30}"),
+        (10**22, f"--exhaustive {10**22} at --max-exponent 5 takes more than the budget of "
+                 "1000000 factor values enumerated plus words counted"),
+    ],
+)
+def test_exhaustive_budgets_outside_the_word_count_get_their_own_refusal(
+    sign_family_file, budget, message
+):
+    # the word count used to stop through islice, whose own message leaked
+    # for a stop below 0 or above sys.maxsize
+    result = run_cli(
+        "qm", "defect", sign_family_file, "--group", "--exhaustive", str(budget), "--samples", "0"
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"error: {message}\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
     "budget",
     [("--exhaustive", "3"), ("--exhaustive", "0", "--max-exponent", "200"),
      ("--exhaustive", "21", "--max-exponent", "2")],
@@ -418,6 +441,14 @@ def test_qm_homogenize_rejects_bad_numeric_input(args):
     assert result.stderr.startswith(f"error: {args[-2]}")
 
 
+def test_qm_homogenize_has_no_seed_flag():
+    # the sampled bound check draws at seed 0
+    result = run_cli(*HOMOGENIZE, "--seed", "1")
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.endswith("error: unrecognized arguments: --seed 1\n"), result.stderr
+    assert result.stdout == ""
+
+
 def test_qm_homogenize_at_the_letter_budget():
     # the last power, (a b)^(2^19), has 2^20 letters; the output is unchanged
     # from the power that also built (a b)^(2^20)
@@ -469,7 +500,7 @@ def test_directory_paths_exit_2(tmp_path, rack_file):
 
 
 DEFECT_FLAGS = ("--exhaustive", "--seed", "--samples", "--max-syllables", "--max-exponent")
-HOMOGENIZE_FLAGS = ("--doublings", "--seed", "--samples")
+HOMOGENIZE_FLAGS = ("--doublings", "--samples")
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "21"])
@@ -534,7 +565,7 @@ def test_qm_defect_rejects_malformed_family_json(tmp_path, document):
 @pytest.mark.parametrize(
     "entry",
     [
-        {"factor": "c", "kind": "iota", "indicator": 1},
+        {"factor": "c", "kind": "iota", "sigma": {"1": "1"}},
         {"factor": "c", "kind": "table", "values": {}, "bound": "1"},
         {"factor": "c", "kind": "sign"},
     ],
@@ -547,6 +578,16 @@ def test_a_component_on_an_unknown_factor_names_it(tmp_path, entry):
     result = run_cli("qm", "defect", str(path), "--factors", "a,b", "--samples", "10")
     assert result.returncode == 2, result.stderr
     assert result.stderr == "error: components for unknown factors ['c']\n"
+
+
+def test_an_iota_component_without_sigma_names_it(tmp_path):
+    # {"indicator": k, "value": v} is not an iota form; {"sigma": {"k": "v"}} is
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(_iota(indicator=1, value="3/2")))
+    result = run_cli("qm", "defect", str(path), "--factors", "a,b", "--samples", "10")
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: iota component needs 'sigma'\n"
+    assert result.stdout == ""
 
 
 def test_table_component_without_a_bound_names_it(tmp_path):
@@ -635,6 +676,15 @@ def test_certify_independence_rejects_ranks_over_budget():
     result = run_cli("certify", "independence", "--rank", "1001", "--n", "1", timeout=10)
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: --rank 1001"), result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("rank", [-1, -1001])
+def test_certify_independence_refuses_negative_ranks_as_not_positive(rank):
+    # the entry budget used to square -1001 and refuse it for its 1002001 entries
+    result = run_cli("certify", "independence", "--rank", str(rank), "--n", "1", timeout=10)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: rank and exponent must be positive\n"
     assert result.stdout == ""
 
 

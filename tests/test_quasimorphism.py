@@ -98,6 +98,15 @@ def test_iota_family_support():
     assert fam.bound == 1
 
 
+def test_component_lookup_by_factor():
+    fam = iota_family(T23, "a", 0, Sigma.indicator(3))
+    assert [fam.component(name) for name in T23.factor_names] == list(fam.components)
+    with pytest.raises(QmError, match="no lambda component for factor 'c'"):
+        fam.component("c")
+    with pytest.raises(QmError, match="no lambda component for factor 'c'"):
+        fam.value("c", (1,))
+
+
 def test_sigma_tail_rule():
     sigma = Sigma(((1, Fraction(1, 2)),), tail=Fraction(1, 3))
     assert sigma.value(1) == Fraction(1, 2)

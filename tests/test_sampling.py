@@ -249,12 +249,14 @@ BAD_ARGUMENTS = [  # (the argument the error must name, a call on a generator)
     ("max_exponent", lambda rng: element_sampler(PARENTS["T2*T3"], rng, 3, 0)),
     ("max_exponent", lambda rng: sample_syllable_word(PARENTS["FQ"], rng, 0, -1)),
     ("max_syllables", lambda rng: element_sampler(PARENTS["FQ"], rng, -1, 3)),
+    ("unknown factor 'zz'", lambda rng: word_sampler(PARENTS["FR"], rng, 2, 3)("zz")),
 ]
 
 
 @pytest.mark.parametrize("name, call", BAD_ARGUMENTS)
 def test_bad_sampler_arguments_fail_whatever_the_seed(name, call):
-    # each is checked when the sampler is built, so no draw decides it
+    # each is checked before any draw (the factor kept out of the lead, at the
+    # call), so no draw decides it
     for seed in range(50):
         rng = random.Random(seed)
         state = rng.getstate()

@@ -357,7 +357,7 @@ def growth_families(parent):
     return {
         "sign": named["sign"],
         "iota(+3)": named["iota(+-3)"],
-        "iota(-3)": iota_family(parent, "a", 0, Sigma.indicator(3, -1)),
+        "iota(-3)": iota_family(parent, "a", 0, Sigma(((3, -1),))),
         "table": named["table"],
         "epsilon -1": opposed,
     }
@@ -449,7 +449,7 @@ def test_certificate_calls_no_rolli_qm_and_each_evaluator_once(monkeypatch):
 
 
 def test_growth_table_is_exact_and_normalised():
-    family = iota_family(PARENTS["FR"], "a", 0, Sigma.indicator(1, Fraction(3, 2)))
+    family = iota_family(PARENTS["FR"], "a", 0, Sigma(((1, Fraction(3, 2)),)))
     witness = find_unboundedness_witness(family)
     step = rolli_qm(family, witness.period())
     assert step == Fraction(3, 2)
